@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 
+# left factors per gathered multiplication table in one einsum call
+_TABLE_ROWS = 256
+
+
 def _reorder_sign(a: int, b: int) -> int:
     """Permutation sign for merging blade bitmasks a and b into canonical order."""
     a >>= 1
@@ -79,13 +83,12 @@ class Algebra:
         object.__setattr__(self, "_grades", grades)
         object.__setattr__(self, "_rev", np.where(grades * (grades - 1) // 2 % 2, -1.0, 1.0))
         if size <= 64:
-            tensor = np.zeros((size, size, size))
             cols = np.arange(size)
-            for a in range(size):
-                tensor[a, cols, a ^ cols] = sign[a]
-            object.__setattr__(self, "_tensor", tensor)
+            left_idx = cols[:, None] ^ cols[None, :]
+            object.__setattr__(self, "_left_idx", left_idx)
+            object.__setattr__(self, "_left_sign", sign[left_idx, cols[None, :]])
         else:
-            object.__setattr__(self, "_tensor", None)
+            object.__setattr__(self, "_left_idx", None)
         vec_idx = np.array([1 << k for k in range(d)])
         object.__setattr__(self, "_vec_idx", vec_idx)
         metric = np.ones(d)
@@ -117,18 +120,22 @@ class Algebra:
     def vector_part(self, mv: np.ndarray) -> np.ndarray:
         return mv[..., self._vec_idx]
 
-    def grade_select(self, mv: np.ndarray, g: int) -> np.ndarray:
-        out = np.zeros_like(mv)
-        mask = self._grades == g
-        out[..., mask] = mv[..., mask]
-        return out
-
     def geometric_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Geometric product; broadcasts over leading axes."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        if self._tensor is not None:
-            return np.einsum("...a,...b,abc->...c", a, b, self._tensor, optimize=True)
+        if self._left_idx is not None:
+            if a.size <= _TABLE_ROWS * self.size:
+                return self._table_product(a, b)
+            # a long batch of left factors goes in chunks, bounding the
+            # gathered (rows, size, size) tables
+            shape = np.broadcast_shapes(a.shape, b.shape)
+            a = np.broadcast_to(a, shape).reshape(-1, self.size)
+            b = np.broadcast_to(b, shape).reshape(-1, self.size)
+            out = np.empty(a.shape)
+            for s in range(0, len(a), _TABLE_ROWS):
+                out[s:s + _TABLE_ROWS] = self._table_product(a[s:s + _TABLE_ROWS], b[s:s + _TABLE_ROWS])
+            return out.reshape(shape)
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
         cols = np.arange(self.size)
         for blade in range(self.size):
@@ -137,6 +144,11 @@ class Algebra:
                 continue
             out[..., blade ^ cols] += coeff[..., None] * self._sign[blade] * b
         return out
+
+    def _table_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(a b)[k] = sum_j L(a)[k, j] b[j] with the left-multiplication table
+        L(a)[k, j] = a[k ^ j] sign[k ^ j, j]."""
+        return np.einsum("...kj,kj,...j->...k", a[..., self._left_idx], self._left_sign, b)
 
     def reverse(self, mv: np.ndarray) -> np.ndarray:
         return mv * self._rev

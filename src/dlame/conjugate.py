@@ -15,18 +15,19 @@ exact vanishing of the factors (1 + c_{Mi}).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import TOL
-from .errors import DegenerateEdges, DegenerateHexahedron, NonPlanarQuad
+from .errors import DegenerateEdges, DegenerateHexahedron, NonPlanarQuad, raise_first
 from .lattice import Component, HyperbolicSystem, LatticeField, MeshSpec, goursat_solve
 
 __all__ = [
     "cname",
-    "curve_to_axis_data",
     "ConjugateSystem",
     "CornerState",
     "dcn_step_c",
@@ -57,64 +58,109 @@ _ROW_K = np.array([p[2] for p in _PERMS])
 _COL_BKA = np.array([_P_INDEX[(p[1], p[2], p[0])] for p in _PERMS])
 _COL_BAK = np.array([_P_INDEX[(p[1], p[0], p[2])] for p in _PERMS])
 _ROWS = np.arange(6)
+# positions of the diagonal, (b, k, a) and (b, a, k) entries in a flattened block
+_ENTRIES = np.concatenate([_ROWS * 7, _ROWS * 6 + _COL_BKA, _ROWS * 6 + _COL_BAK])
+
+
+class _BlockPlan(NamedTuple):
+    """Gather indices into the flattened (M*M) coefficient matrix for a set of
+    triples, and the output keys of the solved blocks in row order."""
+
+    block: np.ndarray          # (ntrip, 9): the 3x3 sub-matrix of each triple
+    coeffs: np.ndarray         # (ntrip, 4, 6): c_ab, c_kb, c_ak, c_ka of every block row (a, b, k)
+    eps_a: np.ndarray          # (ntrip, 6): direction index of eps_a / eps_b
+    eps_b: np.ndarray
+    tail_trip: np.ndarray      # per tail factor: triple position, c_{d,i}, c_{d,j}
+    tail_i: np.ndarray
+    tail_j: np.ndarray
+    tail_msg: tuple[str, ...]
+    keys: tuple[tuple[int, int, int], ...]
+
+
+@functools.lru_cache(maxsize=None)
+def _block_plan(M: int, triples: tuple, tail_dirs: tuple) -> _BlockPlan:
+    T = np.array(triples).reshape(-1, 3)
+    tail_trip, tail_i, tail_j, tail_msg = [], [], [], []
+    for t_idx, trip in enumerate(triples):
+        for pos, d in enumerate(trip):
+            if d in tail_dirs:
+                i, j = (trip[p] for p in range(3) if p != pos)
+                tail_trip.append(t_idx)
+                tail_i.append(d * M + i)
+                tail_j.append(d * M + j)
+                tail_msg.append(f"transform block {trip} is inadmissible: (1+c[{d},i]) factors vanish")
+    keys = tuple((trip[p[0]], trip[p[2]], trip[p[1]]) for trip in triples for p in _PERMS)
+    return _BlockPlan(
+        block=(T[:, :, None] * M + T[:, None, :]).reshape(len(triples), 9),
+        coeffs=np.stack([T[:, p] * M + T[:, q] for p, q in
+                         ((_ROW_A, _ROW_B), (_ROW_K, _ROW_B), (_ROW_A, _ROW_K), (_ROW_K, _ROW_A))], axis=1),
+        eps_a=T[:, _ROW_A],
+        eps_b=T[:, _ROW_B],
+        tail_trip=np.array(tail_trip, dtype=int),
+        tail_i=np.array(tail_i, dtype=int),
+        tail_j=np.array(tail_j, dtype=int),
+        tail_msg=tuple(tail_msg),
+        keys=keys,
+    )
 
 
 def dcn_step_c(c: np.ndarray, eps, triple=None, tail_dirs=()) -> dict:
     """Solve the implicit blocks for the difference quotients delta_a c_cb.
 
-    c is an (M, M) array of rotation coefficients at the cube corner (diagonal
-    ignored, 0-based).  `triple` selects one unordered index triple, a list of
-    them, or all (None); the blocks are assembled and factored as one stacked
-    batch.  Returns {(a, b, c): delta_a c_bc} covering every ordered pair
-    inside the requested triple(s).  Raises DegenerateHexahedron when a block
-    determinant falls below tolerance, or when a tail-direction block has a
-    vanishing admissibility factor 1 + c_{Mi}.
+    c is an (..., M, M) array of rotation coefficients at the cube corner
+    (diagonal ignored, 0-based) with any leading batch axes.  `triple` selects
+    one unordered index triple, a list of them, or all (None); the blocks of
+    every batch entry are assembled and factored as one stacked batch.
+    Returns {(a, b, c): delta_a c_bc} with values over the batch axes,
+    covering every ordered pair inside the requested triple(s).  Raises
+    DegenerateHexahedron, carrying the first offending batch row, when a
+    block determinant falls below tolerance, or when a tail-direction block
+    has a vanishing admissibility factor 1 + c_{Mi}.
     """
     c = np.asarray(c, dtype=float)
-    M = c.shape[0]
+    M = c.shape[-1]
     if triple is None:
-        triples = list(itertools.combinations(range(M), 3))
+        triples = itertools.combinations(range(M), 3)
     elif isinstance(triple[0], (int, np.integer)):
-        triples = [tuple(sorted(triple))]
+        triples = [triple]
     else:
-        triples = [tuple(sorted(t)) for t in triple]
-    T = np.array(triples)
-    c3 = c[T[:, :, None], T[:, None, :]]             # (ntrip, 3, 3)
-    e3 = np.asarray(eps, dtype=float)[T]             # (ntrip, 3)
-    cmax = np.max(np.abs(c3), axis=(1, 2))
-    if tail_dirs:
-        for t_idx, trip in enumerate(triples):
-            for pos, d in enumerate(trip):
-                if d in tail_dirs:
-                    others = [p for p in range(3) if p != pos]
-                    fac = (1.0 + c3[t_idx, pos, others[0]]) * (1.0 + c3[t_idx, pos, others[1]])
-                    if abs(fac) < TOL.degeneracy * (1.0 + cmax[t_idx]) ** 2:
-                        raise DegenerateHexahedron(
-                            f"transform block {trip} is inadmissible: (1+c[{d},i]) factors vanish"
-                        )
-    cab = c3[:, _ROW_A, _ROW_B]
-    ckb = c3[:, _ROW_K, _ROW_B]
-    A = np.zeros((len(triples), 6, 6))
-    A[:, _ROWS, _ROWS] = 1.0 + e3[:, _ROW_A] * cab
-    A[:, _ROWS, _COL_BKA] -= e3[:, _ROW_B] * ckb
-    A[:, _ROWS, _COL_BAK] -= e3[:, _ROW_B] * cab
-    F = c3[:, _ROW_A, _ROW_K] * ckb + c3[:, _ROW_K, _ROW_A] * cab - ckb * cab
-    scale = np.maximum(1.0, np.max(np.abs(A), axis=(1, 2)))
+        triples = triple
+    triples = tuple(tuple(sorted(int(i) for i in t)) for t in triples)
+    plan = _block_plan(M, triples, tuple(int(d) for d in tail_dirs))
+    batch = c.shape[:-2]
+    ntrip = len(triples)
+    cf = c.reshape(batch + (M * M,))
+    e = np.asarray(eps, dtype=float)
+    g = cf[..., plan.coeffs]
+    cab, ckb, cak, cka = g[..., 0, :], g[..., 1, :], g[..., 2, :], g[..., 3, :]
+    eb = e[plan.eps_b]
+    entries = np.concatenate([1.0 + e[plan.eps_a] * cab, 0.0 - eb * ckb, 0.0 - eb * cab], axis=-1)
+    A = np.zeros(batch + (ntrip, 36))
+    A[..., _ENTRIES] = entries
+    A = A.reshape(batch + (ntrip, 6, 6))
+    F = cak * ckb + cka * cab - ckb * cab
+    scale = np.maximum(1.0, np.abs(entries).max(axis=-1))
     dets = np.abs(np.linalg.det(A))
-    if np.any(dets < TOL.degeneracy * scale**6):
-        bad = triples[int(np.argmin(dets / scale**6))]
-        raise DegenerateHexahedron(f"implicit block for triple {bad} is singular")
-    delta = np.linalg.solve(A, F[..., None])[..., 0]
-    out: dict[tuple[int, int, int], float] = {}
-    for t_idx, trip in enumerate(triples):
-        row = delta[t_idx]
-        for r, p in enumerate(_PERMS):
-            out[(trip[p[0]], trip[p[2]], trip[p[1]])] = row[r]
-    return out
+    det_bad = dets < TOL.degeneracy * scale**6
+    checks = []
+    if plan.tail_msg:
+        cmax = np.max(np.abs(cf[..., plan.block]), axis=-1)
+        fac = (1.0 + cf[..., plan.tail_i]) * (1.0 + cf[..., plan.tail_j])
+        tail_bad = np.abs(fac) < TOL.degeneracy * (1.0 + cmax[..., plan.tail_trip]) ** 2
+        checks.append((tail_bad.any(axis=-1), lambda row: DegenerateHexahedron(
+            plan.tail_msg[int(np.argmax(tail_bad.reshape(-1, len(plan.tail_msg))[row]))])))
+    checks.append((det_bad.any(axis=-1), lambda row: DegenerateHexahedron(
+        f"implicit block for triple "
+        f"{triples[int(np.argmin((dets / scale**6).reshape(-1, ntrip)[row]))]} is singular")))
+    raise_first(checks)
+    delta = np.linalg.solve(A, F[..., None])[..., 0].reshape(batch + (-1,))
+    return {key: delta[..., k] for k, key in enumerate(plan.keys)}
 
 
 class ConjugateSystem(HyperbolicSystem):
     """Hyperbolic system of an M-dimensional discrete conjugate net in R^N."""
+
+    batched = True
 
     def __init__(self, M: int, N: int, tail_dirs: tuple[int, ...] = ()):
         self.N = N
@@ -144,9 +190,9 @@ class ConjugateSystem(HyperbolicSystem):
 
     def _cmatrix(self, vals) -> np.ndarray:
         M = self.M
-        c = np.zeros((M, M))
+        c = np.zeros(np.shape(vals["x"])[:-1] + (M, M))
         for i, j in itertools.permutations(range(M), 2):
-            c[i, j] = vals[cname(i + 1, j + 1)]
+            c[..., i, j] = vals[cname(i + 1, j + 1)]
         return c
 
     def step(self, direction: int, vals, eps, outputs=None):
@@ -158,14 +204,14 @@ class ConjugateSystem(HyperbolicSystem):
 
         c = self._cmatrix(vals)
         out = {}
+        wj = np.asarray(vals[f"w{j + 1}"], dtype=float)
         if wanted("x"):
-            out["x"] = np.asarray(vals["x"], dtype=float) + eps[j] * np.asarray(vals[f"w{j + 1}"], dtype=float)
+            out["x"] = np.asarray(vals["x"], dtype=float) + eps[j] * wj
         for i in range(self.M):
             if i == j or not wanted(f"w{i + 1}"):
                 continue
             wi = np.asarray(vals[f"w{i + 1}"], dtype=float)
-            wj = np.asarray(vals[f"w{j + 1}"], dtype=float)
-            out[f"w{i + 1}"] = wi + eps[j] * (c[i, j] * wj + c[j, i] * wi)
+            out[f"w{i + 1}"] = wi + eps[j] * (c[..., i, j, None] * wj + c[..., j, i, None] * wi)
         pairs = [
             (a, b) for a, b in itertools.combinations(range(self.M), 2)
             if j not in (a, b) and wanted(cname(a + 1, b + 1), cname(b + 1, a + 1))
@@ -174,8 +220,8 @@ class ConjugateSystem(HyperbolicSystem):
             delta = dcn_step_c(c, eps, triple=[(j, a, b) for a, b in pairs],
                                tail_dirs=self.tail_dirs)
             for a, b in pairs:
-                out[cname(a + 1, b + 1)] = c[a, b] + eps[j] * delta[(j, a, b)]
-                out[cname(b + 1, a + 1)] = c[b, a] + eps[j] * delta[(j, b, a)]
+                out[cname(a + 1, b + 1)] = c[..., a, b] + eps[j] * delta[(j, a, b)]
+                out[cname(b + 1, a + 1)] = c[..., b, a] + eps[j] * delta[(j, b, a)]
         return out
 
 
@@ -195,29 +241,32 @@ class CornerState:
         return CornerState(self.x.copy(), self.w.copy(), self.c.copy())
 
 
-def shift_state(state: CornerState, direction: int, eps, tail_dirs=()) -> CornerState:
+def shift_state(state: CornerState, direction: int, eps, tail_dirs=(), delta=None) -> CornerState:
     """Advance a corner state by one lattice step; entries that would need
-    fresh Goursat data become nan."""
+    fresh Goursat data become nan.
+
+    `delta` may carry the output of an earlier `dcn_step_c` call on the same
+    state over the triples whose coefficients are all known (`_corner_blocks`),
+    so callers that shift one corner in several directions solve each block
+    once; the step then updates exactly the pairs that output covers.
+    """
     a = direction
-    M = state.M
     x = state.x + eps[a] * state.w[a]
-    w = np.full_like(state.w, np.nan)
+    w = state.w + eps[a] * (state.c[:, a, None] * state.w[a] + state.c[a, :, None] * state.w)
+    w[a] = np.nan
     c = np.full_like(state.c, np.nan)
-    for i in range(M):
-        if i == a:
-            continue
-        w[i] = state.w[i] + eps[a] * (state.c[i, a] * state.w[a] + state.c[a, i] * state.w[i])
-    pairs = [
-        (p, q) for p, q in itertools.combinations(range(M), 2)
-        if a not in (p, q)
-        and not np.isnan(state.c[[p, p, q, q, a, a], [q, a, p, a, p, q]]).any()
-    ]
-    if pairs:
-        delta = dcn_step_c(state.c, eps, triple=[(a, p, q) for p, q in pairs],
-                           tail_dirs=tail_dirs)
-        for p, q in pairs:
-            c[p, q] = state.c[p, q] + eps[a] * delta[(a, p, q)]
-            c[q, p] = state.c[q, p] + eps[a] * delta[(a, q, p)]
+    pairs = itertools.combinations(range(state.M), 2)
+    if delta is None:
+        known = _known_triples(state.c)
+        pairs = [(p, q) for p, q in pairs if a not in (p, q) and tuple(sorted((a, p, q))) in known]
+        if pairs:
+            delta = dcn_step_c(state.c, eps, triple=[(a, p, q) for p, q in pairs],
+                               tail_dirs=tail_dirs)
+    else:
+        pairs = [(p, q) for p, q in pairs if (a, p, q) in delta]
+    for p, q in pairs:
+        c[p, q] = state.c[p, q] + eps[a] * delta[(a, p, q)]
+        c[q, p] = state.c[q, p] + eps[a] * delta[(a, q, p)]
     return CornerState(x, w, c)
 
 
@@ -243,13 +292,14 @@ def elementary_hexahedron(state: CornerState, eps) -> np.ndarray:
     edge_scale = float(np.max(np.abs(rdiag)))
     if np.min(np.abs(np.diagonal(rdiag))) < 1e-10 * max(1.0, edge_scale):
         raise DegenerateHexahedron("corner edges do not span a three-space")
-    shifted = [shift_state(state, a, eps) for a in range(3)]
+    delta = _corner_blocks(state, eps)
+    shifted = [shift_state(state, a, eps, delta=delta) for a in range(3)]
     A = np.zeros((3, 3))
     rhs = np.zeros(3)
     for a in range(3):
         jj, kk = [d for d in range(3) if d != a]
-        u = basis.T @ shifted[a].w[jj]
-        v = basis.T @ shifted[a].w[kk]
+        u = (basis.T @ shifted[a].w[jj]).tolist()
+        v = (basis.T @ shifted[a].w[kk]).tolist()
         normal3 = np.array([
             u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
@@ -315,25 +365,31 @@ def solve_conjugate_net(
     return goursat_solve(system, mesh, data, request=request)
 
 
-def curve_to_axis_data(points: np.ndarray, eps: float) -> np.ndarray:
-    """Forward differences delta X of sampled curve points (needs one spare sample)."""
-    pts = np.asarray(points, dtype=float)
-    return (pts[1:] - pts[:-1]) / eps
+def _known_triples(c: np.ndarray) -> set:
+    """Sorted index triples whose six off-diagonal coefficients are all known."""
+    known = (~np.isnan(c)).tolist()
+    return {
+        t for t in itertools.combinations(range(len(known)), 3)
+        if all(known[p][q] for p, q in itertools.permutations(t, 2))
+    }
+
+
+def _corner_blocks(state: CornerState, eps) -> dict:
+    """One dcn_step_c call over every triple whose coefficients are all known."""
+    triples = sorted(_known_triples(state.c))
+    return dcn_step_c(state.c, eps, triple=triples) if triples else {}
 
 
 def check_4d_consistency(state: CornerState, eps) -> float:
     """Max pairwise distance between the four constructions of the 4-cube far vertex."""
     if state.M != 4:
         raise ValueError("the consistency check runs on four directions")
+    delta = _corner_blocks(state, eps)
     far = []
     for lead in range(4):
-        s = shift_state(state, lead, eps, tail_dirs=())
+        s = shift_state(state, lead, eps, delta=delta)
         rest = [d for d in range(4) if d != lead]
-        sub = CornerState(
-            s.x,
-            s.w[rest],
-            s.c[np.ix_(rest, rest)],
-        )
+        sub = CornerState(s.x, s.w[rest], s.c[rest][:, rest])
         far.append(elementary_hexahedron(sub, [eps[d] for d in rest]))
     far = np.array(far)
     dists = [np.linalg.norm(a - b) for a, b in itertools.combinations(far, 2)]

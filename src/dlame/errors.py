@@ -1,8 +1,38 @@
 """Exception hierarchy shared by all dlame modules."""
 
+import numpy as np
+
 
 class DLameError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    A domain gate of a batched kernel sets `row` on the error it raises: the
+    flat (C-order) index, over the leading batch axes, of the first entry that
+    failed any of the kernel's gates.  The error is the one a single-entry call
+    on that entry would raise.  `row` is None on errors not raised by a gate.
+    """
+
+    row: int | None = None
+
+
+def raise_first(checks) -> None:
+    """Raise the error of the first batch entry that fails one of `checks`.
+
+    checks is a sequence of (mask, make_error) pairs in the order one entry is
+    tested; each mask is a boolean array over the batch axes and make_error
+    maps the flat row index to the exception to raise.
+    """
+    bad = np.asarray(checks[0][0])
+    for mask, _ in checks[1:]:
+        bad = bad | mask
+    if not bad.any():
+        return
+    row = int(np.argmax(np.ravel(bad)))
+    for mask, make_error in checks:
+        if np.ravel(mask)[row]:
+            err = make_error(row)
+            err.row = row
+            raise err
 
 
 class ConfigError(DLameError):

@@ -169,15 +169,27 @@ class Component:
 class HyperbolicSystem:
     """First-order system delta_j u_k = f_{k,j}(u) with per-component step rules.
 
-    Subclasses provide `components` and `step(direction, vals, eps)` returning
-    the shifted values tau_j u_k for every component evolving in direction j.
-    Registration checks the structural closure condition: a rule for component
-    k in direction j may only read components l with E(k) \\ {j} contained in
-    E(l), otherwise the consistency condition is not even well defined.
+    Subclasses provide `components` and `step(direction, vals, eps, outputs)`
+    returning the shifted values tau_j u_k for every component evolving in
+    direction j (at least those named in `outputs`).  Registration checks the
+    structural closure condition: a rule for component k in direction j may
+    only read components l with E(k) \\ {j} contained in E(l), otherwise the
+    consistency condition is not even well defined.
+
+    Step contract.  A class that sets `batched = True` promises a step rule
+    with leading batch axes: every value in `vals` carries the same leading
+    shape in front of its component shape, and every output carries it too,
+    row by row equal to a call on that row alone.  A domain gate that fails
+    raises with `row` set to the flat index of the first failing entry (see
+    `errors.raise_first`).  The Goursat driver then makes one step call per
+    (level, direction, output set).  A scalar rule (`batched = False`, the
+    default) receives one site per call through the same grouping, so
+    user-defined per-site rules keep working unchanged.
     """
 
     M: int
     components: tuple[Component, ...]
+    batched: bool = False
 
     def __init__(self, M: int, components: Sequence[Component]):
         self.M = M
@@ -210,10 +222,13 @@ class HyperbolicSystem:
         raise NotImplementedError
 
 
-def _static_sites(mesh: MeshSpec, static: tuple[int, ...]):
-    """Index tuples of the static subspace (all evolution coordinates zero)."""
-    ranges = [range(mesh.npts[d]) if d in static else (0,) for d in range(mesh.M)]
-    return itertools.product(*ranges)
+def _producer_dirs(sites: np.ndarray, evolution: tuple[int, ...]) -> np.ndarray:
+    """Per site, the lowest evolution direction with a positive index (-1 on
+    the component's static subspace, where Goursat data live)."""
+    out = np.full(len(sites), -1)
+    for j in reversed(evolution):
+        out[sites[:, j] > 0] = j
+    return out
 
 
 def goursat_solve(
@@ -228,8 +243,15 @@ def goursat_solve(
     (in increasing direction order), with the component's value shape trailing;
     scalars are broadcast.  Values are produced by pulling each unknown from
     the lowest evolution direction with a positive coordinate, so the output
-    does not depend on the site enumeration order.  A step rule that raises is
-    reported as DomainViolation carrying the first failure site in fill order.
+    does not depend on the site enumeration order.  Every value on level
+    sum(idx) = k is read from level k - 1 only, so a level is filled by one
+    step call per (direction, set of output components), batched over its
+    source sites when the system is `batched`, one site per call otherwise.
+
+    A step rule that raises is reported as DomainViolation carrying the
+    source site (plain-float coordinates), the step direction and the cause
+    of the first failure in fill order: sites in `MeshSpec.levels()` order,
+    components in declaration order within a site.
 
     The solve is demand driven: when `request` names a subset of components,
     only the values those components transitively read (through the declared
@@ -239,85 +261,99 @@ def goursat_solve(
     """
     if mesh.M != system.M:
         raise ValueError("mesh dimension does not match the system")
-    by_name = {c.name: c for c in system.components}
+    comps = system.components
+    names = [c.name for c in comps]
     if request is not None:
-        unknown = set(request) - set(by_name)
+        unknown = set(request) - set(names)
         if unknown:
             raise ValueError(f"requested unknown components {sorted(unknown)}")
+    evolutions = {c.name: c.evolution(mesh.M) for c in comps}
+    levels = [np.array(sites, dtype=int).reshape(-1, mesh.M) for sites in mesh.levels()]
 
-    evolutions = {c.name: c.evolution(mesh.M) for c in system.components}
-
-    def producer(comp_name, site):
-        src_dir = next((j for j in evolutions[comp_name] if site[j] > 0), None)
-        if src_dir is None:
-            raise ValueError(f"no Goursat data reaches {comp_name} at {site}")
-        return src_dir, site[:src_dir] + (site[src_dir] - 1,) + site[src_dir + 1:]
-
-    levels = mesh.levels()
-    marked: dict[str, np.ndarray] = {}
-    on_static: dict[str, np.ndarray] = {}
-    for comp in system.components:
-        m = np.zeros(mesh.shape, dtype=bool)
-        if request is None or comp.name in request:
-            m[...] = True
-        marked[comp.name] = m
-        s = np.zeros(mesh.shape, dtype=bool)
-        for pos in _static_sites(mesh, comp.static):
-            s[pos] = True
-        on_static[comp.name] = s
-
-    # backward dependency marking; an undeclared read set is taken as "reads all"
-    prod_need: dict[tuple, set] = {}
-    for level_sites in reversed(levels):
-        for site in level_sites:
-            if sum(site) == 0:
+    # backward dependency marking: pull[(j, name)] flags the source sites whose
+    # step in direction j must produce `name`; an undeclared read set is taken
+    # as "reads all"
+    marked = {c.name: np.full(mesh.shape, request is None or c.name in request) for c in comps}
+    pull = {(j, c.name): np.zeros(mesh.shape, dtype=bool) for c in comps for j in evolutions[c.name]}
+    for sites in reversed(levels[1:]):
+        idx = tuple(sites.T)
+        for comp in comps:
+            evo = evolutions[comp.name]
+            if not evo:
                 continue
-            for comp in system.components:
-                if not marked[comp.name][site] or on_static[comp.name][site]:
+            need = marked[comp.name][idx]
+            producer = _producer_dirs(sites, evo)
+            for j in evo:
+                rows = need & (producer == j)
+                if not rows.any():
                     continue
-                j, src = producer(comp.name, site)
-                prod_need.setdefault((src, j), set()).add(comp.name)
+                src = sites[rows]
+                src[:, j] -= 1
+                src_idx = tuple(src.T)
+                pull[(j, comp.name)][src_idx] = True
                 reads = comp.reads.get(j)
-                names = reads if reads is not None else tuple(by_name)
-                for name in names:
-                    marked[name][src] = True
+                for name in reads if reads is not None else names:
+                    marked[name][src_idx] = True
 
     full: dict[str, np.ndarray] = {}
-    seen: dict[str, np.ndarray] = {}
-    for comp in system.components:
+    for comp in comps:
         full[comp.name] = np.full(mesh.shape + comp.shape, np.nan)
-        seen[comp.name] = np.zeros(mesh.shape, dtype=bool)
         arr = data[comp.name]
         stat_shape = tuple(mesh.npts[d] for d in comp.static)
         if callable(arr):
             raise TypeError("callable data not supported; sample it on the static subspace")
-        arr = np.broadcast_to(np.asarray(arr, dtype=float), stat_shape + comp.shape)
-        for pos, si in zip(_static_sites(mesh, comp.static), itertools.product(*(range(s) for s in stat_shape))):
-            full[comp.name][pos] = arr[si]
-            seen[comp.name][pos] = True
+        static = tuple(slice(None) if d in comp.static else 0 for d in range(mesh.M))
+        full[comp.name][static] = np.broadcast_to(np.asarray(arr, dtype=float), stat_shape + comp.shape)
 
-    def vals_at(site):
-        return {name: full[name][site] for name in full}
-
-    for level_sites in levels:
-        memo: dict[tuple, dict[str, np.ndarray]] = {}
-        for site in level_sites:
-            for comp in system.components:
-                if seen[comp.name][site] or not marked[comp.name][site]:
+    order = {name: k for k, name in enumerate(names)}
+    for sites in levels[1:]:
+        failures = []
+        for j in range(mesh.M):
+            produced = [name for name in names if (j, name) in pull]
+            has = sites[:, j] > 0
+            if not produced or not has.any():
+                continue
+            dst = sites[has]
+            src = dst.copy()
+            src[:, j] -= 1
+            src_idx = tuple(src.T)
+            flags = np.stack([pull[(j, name)][src_idx] for name in produced], axis=1)
+            patterns, group = np.unique(flags, axis=0, return_inverse=True)
+            for g, pattern in enumerate(patterns):
+                if not pattern.any():
                     continue
-                src_dir, src = producer(comp.name, site)
-                key = (src, src_dir)
-                if key not in memo:
-                    outputs = tuple(sorted(prod_need.get(key, {comp.name})))
-                    try:
-                        memo[key] = system.step(src_dir, vals_at(src), mesh.eps, outputs=outputs)
-                    except DomainViolation:
-                        raise
-                    except Exception as exc:
-                        raise DomainViolation(mesh.coords(src), src_dir, exc) from exc
-                full[comp.name][site] = memo[key][comp.name]
-                seen[comp.name][site] = True
+                outputs = tuple(sorted(name for name, on in zip(produced, pattern) if on))
+                rows = np.flatnonzero(group.ravel() == g)
+                failed = _fill(system, j, outputs, src[rows], dst[rows], full, mesh.eps)
+                if failed is not None:
+                    row, exc = failed
+                    site_pos = int(np.flatnonzero(has)[rows[row]])
+                    failures.append(((site_pos, min(order[n] for n in outputs)), src[rows[row]], j, exc))
+        if failures:
+            _, src, j, exc = min(failures, key=lambda f: f[0])
+            if isinstance(exc, DomainViolation):
+                raise exc
+            raise DomainViolation(mesh.coords(src.tolist()), j, exc) from exc
     return {name: LatticeField(mesh, arr) for name, arr in full.items()}
+
+
+def _fill(system, j, outputs, src, dst, full, eps):
+    """Step the source sites `src` in direction j and write `outputs` at `dst`.
+
+    Returns None, or (row, exception) for the first failing row."""
+    if system.batched:
+        calls = [(tuple(src.T), tuple(dst.T))]
+    else:
+        calls = [(tuple(s), tuple(d)) for s, d in zip(src.tolist(), dst.tolist())]
+    for k, (src_idx, dst_idx) in enumerate(calls):
+        try:
+            out = system.step(j, {name: vals[src_idx] for name, vals in full.items()}, eps, outputs=outputs)
+        except Exception as exc:
+            # a batched call that fails outside a gate is charged to its first row
+            return (getattr(exc, "row", None) or 0) if system.batched else k, exc
+        for name in outputs:
+            full[name][dst_idx] = out[name]
+    return None
 
 
 def consistency_residual(

@@ -17,7 +17,7 @@ from .curves import SmoothCurve
 from .errors import SingularPoint
 from .orthogonal import CurveData, OrthoSurfaceSpec, suited_frame
 
-__all__ = ["EllipticOracle", "SphericalOracle", "FlatOracle", "oracle_by_name"]
+__all__ = ["EllipticOracle", "SphericalOracle", "FlatOracle"]
 
 
 @dataclass(frozen=True)
@@ -294,10 +294,3 @@ def csurface_data_from_oracle(oracle, eps: float, r: float, stagger: bool = Fals
         h1=h1, b1=b1, h2=h2, b2=b2, split=gam, splitting="gamma",
     )
 
-
-def oracle_by_name(name: str):
-    """Builtin oracle lookup for the command line ('elliptic', 'spherical', 'flat')."""
-    table = {"elliptic": EllipticOracle, "spherical": SphericalOracle, "flat": FlatOracle}
-    if name not in table:
-        raise KeyError(name)
-    return table[name]()

@@ -42,6 +42,7 @@ from .errors import (
     ImmersionFailure,
     OutsideDomain,
     SqrtDomain,
+    raise_first,
 )
 from .lattice import Component, HyperbolicSystem, LatticeField, MeshSpec, goursat_solve
 
@@ -69,31 +70,48 @@ __all__ = [
 
 
 # -- frame stepping kernels ---------------------------------------------------
+#
+# Every kernel takes leading batch axes on its per-site arguments (h, beta,
+# n_fac, the splitting field and psi); mesh sizes and directions are shared.
 
 
-def normal_factor(eps: float, beta: np.ndarray, skip: int) -> float:
+def _normal_sq(eps: float, beta: np.ndarray, skip: int) -> np.ndarray:
+    """N_i^2 = 1 - eps^2/4 * sum_{k != skip} beta_k^2 over the batch axes."""
+    beta = np.asarray(beta, dtype=float)
+    return 1.0 - eps * eps / 4.0 * np.sum(np.delete(beta, skip, axis=-1) ** 2, axis=-1)
+
+
+def _too_coarse(row):
+    return SqrtDomain("mesh too coarse for the curvature of the data")
+
+
+def _outside_admissible_set(row):
+    return OutsideDomain("transform data left the admissible set (sum beta^2 >= 4)")
+
+
+def normal_factor(eps: float, beta: np.ndarray, skip: int) -> np.ndarray:
     """N_i = sqrt(1 - eps^2/4 * sum_{k != skip} beta_k^2); raises SqrtDomain."""
-    s = float(np.sum(np.delete(beta, skip) ** 2))
-    val = 1.0 - eps * eps / 4.0 * s
-    if val <= 0.0:
-        raise SqrtDomain("mesh too coarse for the curvature of the data")
-    return math.sqrt(val)
+    val = _normal_sq(eps, beta, skip)
+    raise_first([(val <= 0.0, _too_coarse)])
+    return np.sqrt(val)
 
 
-def sigma_vector(alg: Algebra, d: int, eps: float, h: float, beta: np.ndarray, n_fac: float) -> np.ndarray:
+def sigma_vector(alg: Algebra, d: int, eps: float, h, beta: np.ndarray, n_fac) -> np.ndarray:
     """Coordinates of Sigma_i = N_i e_d + (eps/2) sum beta_k e_k - eps h einf."""
-    u = np.zeros(alg.dim)
-    u[: alg.n] = (eps / 2.0) * beta
-    u[d - 1] = n_fac
-    u += -eps * h * alg.einf
+    beta = np.asarray(beta, dtype=float)
+    u = np.zeros(beta.shape[:-1] + (alg.dim,))
+    u[..., : alg.n] = (eps / 2.0) * beta
+    u[..., d - 1] = n_fac
+    u += -eps * np.asarray(h, dtype=float)[..., None] * alg.einf
     return u
 
 
-def frame_step_multiplier(alg: Algebra, d: int, eps: float, h: float, beta: np.ndarray, n_fac: float,
+def frame_step_multiplier(alg: Algebra, d: int, eps: float, h, beta: np.ndarray, n_fac,
                           biv: np.ndarray, einf_ed: np.ndarray) -> np.ndarray:
     """Multivector G with tau psi = G psi, equal to -Sigma_i e_d as a product."""
-    G = -(eps / 2.0) * (beta @ biv) + (eps * h) * einf_ed
-    G[0] += n_fac
+    G = -(eps / 2.0) * (np.asarray(beta, dtype=float) @ biv) \
+        + (eps * np.asarray(h, dtype=float))[..., None] * einf_ed
+    G[..., 0] += n_fac
     return G
 
 
@@ -117,6 +135,8 @@ class FrameSurfaceSystem(HyperbolicSystem):
     both directions.
     """
 
+    batched = True
+
     def __init__(self, alg: Algebra, dirs=(1, 2), splitting: str = "gamma"):
         if splitting not in ("gamma", "alpha"):
             raise ValueError("splitting must be 'gamma' or 'alpha'")
@@ -124,6 +144,9 @@ class FrameSurfaceSystem(HyperbolicSystem):
         self.dirs = tuple(dirs)
         self.splitting = splitting
         self._tables = [_direction_tables(alg, d) for d in self.dirs]
+        # coefficient slots outside both lattice directions
+        self._rest = np.ones(alg.n, dtype=bool)
+        self._rest[[d - 1 for d in self.dirs]] = False
         comps = [
             Component("psi", (alg.size,), (), {0: ("psi", "h1", "b1"), 1: ("psi", "h2", "b2")}),
             Component("h1", (), (0,), {1: ("h1", "h2", "b1", "b2", "split")}),
@@ -135,94 +158,70 @@ class FrameSurfaceSystem(HyperbolicSystem):
         super().__init__(2, comps)
 
     def splitting_rhos(self, vals, eps):
-        """(rho_12, rho_21, n, N_1, N_2) at one site; checks all domain gates."""
+        """(rho_12, rho_21, n, N_1, N_2) over the batch axes; checks all domain gates."""
         d1, d2 = self.dirs
         b1 = np.asarray(vals["b1"], dtype=float)
         b2 = np.asarray(vals["b2"], dtype=float)
-        n1 = normal_factor(eps[0], b1, d1 - 1)
-        try:
-            n2 = normal_factor(eps[1], b2, d2 - 1)
-        except SqrtDomain:
-            if self.splitting == "alpha":
-                raise OutsideDomain("transform data left the admissible set (sum beta^2 >= 4)")
-            raise
-        beta12 = b2[d1 - 1]
-        beta21 = b1[d2 - 1]
-        mask = np.ones(self.alg.n, dtype=bool)
-        mask[[d1 - 1, d2 - 1]] = False
-        theta = 0.5 * float(b1[mask] @ b2[mask])
-        s = float(vals["split"])
+        s = np.asarray(vals["split"], dtype=float)
+        n1sq = _normal_sq(eps[0], b1, d1 - 1)
+        n2sq = _normal_sq(eps[1], b2, d2 - 1)
+        with np.errstate(invalid="ignore"):
+            n1 = np.sqrt(n1sq)
+            n2 = np.sqrt(n2sq)
+        beta12 = b2[..., d1 - 1]
+        beta21 = b1[..., d2 - 1]
+        theta = 0.5 * np.sum(b1[..., self._rest] * b2[..., self._rest], axis=-1)
+        e = eps[0]
         if self.splitting == "gamma":
-            e = eps[0]
             rho12 = e * n1 * beta12 - e * e / 2.0 * (theta - s)
             rho21 = e * n2 * beta21 - e * e / 2.0 * (theta + s)
         else:
-            e = eps[0]
             rho21 = e * s
             rho12 = n1 * beta12 + e * (n2 * beta21 - theta - s)
         nsq = 1.0 - rho12 * rho21
-        if nsq <= 0.0:
-            raise SqrtDomain("normalizer n^2 = 1 - rho12 rho21 left the positive domain")
-        if abs(-(rho12 + rho21) / 2.0 - 1.0) < TOL.line_circle:
-            raise DegenerateCircle("elementary circle degenerated to a line")
-        return rho12, rho21, math.sqrt(nsq), n1, n2
+        raise_first([
+            (n1sq <= 0.0, _too_coarse),
+            (n2sq <= 0.0, _outside_admissible_set if self.splitting == "alpha" else _too_coarse),
+            (nsq <= 0.0, lambda row: SqrtDomain("normalizer n^2 = 1 - rho12 rho21 left the positive domain")),
+            (np.abs(-(rho12 + rho21) / 2.0 - 1.0) < TOL.line_circle,
+             lambda row: DegenerateCircle("elementary circle degenerated to a line")),
+        ])
+        return rho12, rho21, np.sqrt(nsq), n1, n2
 
     def step(self, direction: int, vals, eps, outputs=None):
-        d1, d2 = self.dirs
-        e1, e2 = eps[0], eps[1]
         want = None if outputs is None else set(outputs)
 
         def wanted(*names):
             return want is None or any(nm in want for nm in names)
 
+        # a = the step direction, b = the other one
+        a, b = direction, 1 - direction
+        ea, eb = eps[a], eps[b]
+        h = [np.asarray(vals["h1"], dtype=float), np.asarray(vals["h2"], dtype=float)]
+        beta = [np.asarray(vals["b1"], dtype=float), np.asarray(vals["b2"], dtype=float)]
+        da = self.dirs[a]
         out = {}
         transport = wanted("h1", "h2", "b1", "b2")
         if transport:
             rho12, rho21, n, n1, n2 = self.splitting_rhos(vals, eps)
-        if direction == 0:
-            if wanted("psi"):
-                psi = np.asarray(vals["psi"], dtype=float)
-                b1 = np.asarray(vals["b1"], dtype=float)
-                n1p = normal_factor(e1, b1, d1 - 1)
-                biv, einf_ed = self._tables[0]
-                G = frame_step_multiplier(self.alg, d1, e1, float(vals["h1"]), b1, n1p, biv, einf_ed)
-                out["psi"] = self.alg.geometric_product(G, psi)
-            if transport:
-                h1, h2 = float(vals["h1"]), float(vals["h2"])
-                b1 = np.asarray(vals["b1"], dtype=float)
-                b2 = np.asarray(vals["b2"], dtype=float)
-                out["h2"] = h2 + e1 * (rho12 / (e2 * n) * h1 + (1.0 - n) / (e1 * n) * h2)
-                new_b2 = b2.copy()
-                new_b2[d1 - 1] = b2[d1 - 1] + e1 * (
-                    2.0 * n1 * rho12 / (e1 * e2 * n) - (1.0 + n) / (e1 * n) * b2[d1 - 1]
-                )
-                for k in range(self.alg.n):
-                    if k in (d1 - 1, d2 - 1):
-                        continue
-                    new_b2[k] = b2[k] + e1 * ((1.0 - n) / (e1 * n) * b2[k] + rho12 / (e2 * n) * b1[k])
-                out["b2"] = new_b2
-            return out
+            rho_ab, n_a = (rho12, n1) if a == 0 else (rho21, n2)
         if wanted("psi"):
-            psi = np.asarray(vals["psi"], dtype=float)
-            b2 = np.asarray(vals["b2"], dtype=float)
-            n2p = normal_factor(e2, b2, d2 - 1)
-            biv, einf_ed = self._tables[1]
-            G = frame_step_multiplier(self.alg, d2, e2, float(vals["h2"]), b2, n2p, biv, einf_ed)
-            out["psi"] = self.alg.geometric_product(G, psi)
+            n_step = n_a if transport else normal_factor(ea, beta[a], da - 1)
+            G = frame_step_multiplier(self.alg, da, ea, h[a], beta[a], n_step, *self._tables[a])
+            out["psi"] = self.alg.geometric_product(G, np.asarray(vals["psi"], dtype=float))
         if transport:
-            h1, h2 = float(vals["h1"]), float(vals["h2"])
-            b1 = np.asarray(vals["b1"], dtype=float)
-            b2 = np.asarray(vals["b2"], dtype=float)
-            out["h1"] = h1 + e2 * (rho21 / (e1 * n) * h2 + (1.0 - n) / (e2 * n) * h1)
-            new_b1 = b1.copy()
-            new_b1[d2 - 1] = b1[d2 - 1] + e2 * (
-                2.0 * n2 * rho21 / (e1 * e2 * n) - (1.0 + n) / (e2 * n) * b1[d2 - 1]
+            hb, bb, ba = h[b], beta[b], beta[a]
+            out[f"h{b + 1}"] = hb + ea * (rho_ab / (eb * n) * h[a] + (1.0 - n) / (ea * n) * hb)
+            new_b = bb.copy()
+            new_b[..., da - 1] = bb[..., da - 1] + ea * (
+                2.0 * n_a * rho_ab / (eps[0] * eps[1] * n) - (1.0 + n) / (ea * n) * bb[..., da - 1]
             )
-            for k in range(self.alg.n):
-                if k in (d1 - 1, d2 - 1):
-                    continue
-                new_b1[k] = b1[k] + e2 * ((1.0 - n) / (e2 * n) * b1[k] + rho21 / (e1 * n) * b2[k])
-            out["b1"] = new_b1
+            rest = self._rest
+            new_b[..., rest] = bb[..., rest] + ea * (
+                ((1.0 - n) / (ea * n))[..., None] * bb[..., rest]
+                + (rho_ab / (eb * n))[..., None] * ba[..., rest]
+            )
+            out[f"b{b + 1}"] = new_b
         return out
 
 
@@ -376,13 +375,14 @@ def canonical_discretization(
         if curve is None:
             raise ValueError("either a curve or pre-sampled data is required")
         data = read_off_curve(alg, curve, psi0, direction, t, substep=eps / 4.0)
-    biv, einf_ed = _direction_tables(alg, direction)
+    beta = data.beta[: npts - 1]
+    n_fac = normal_factor(eps, beta, direction - 1)
+    G = frame_step_multiplier(alg, direction, eps, data.h[: npts - 1], beta, n_fac,
+                              *_direction_tables(alg, direction))
     frames = np.zeros((npts, alg.size))
     frames[0] = psi0
     for s in range(npts - 1):
-        n_fac = normal_factor(eps, data.beta[s], direction - 1)
-        G = frame_step_multiplier(alg, direction, eps, data.h[s], data.beta[s], n_fac, biv, einf_ed)
-        frames[s + 1] = alg.geometric_product(G, frames[s])
+        frames[s + 1] = alg.geometric_product(G[s], frames[s])
     points = alg.drop_to_euclidean(alg.adjoint(frames, alg.e0))
     return DiscreteCurve(eps, points, frames, data)
 
@@ -486,25 +486,11 @@ def lame_residuals(res: CSurfaceResult) -> dict[str, float]:
     b1 = res.fields["b1"].values
     b2 = res.fields["b2"].values
     split = res.fields["split"].values
-    n1c, n2c = res.mesh.npts
     eps = res.mesh.eps
 
-    rho12 = np.zeros((n1c, n2c))
-    rho21 = np.zeros_like(rho12)
-    nfac = np.zeros_like(rho12)
-    N1 = np.zeros_like(rho12)
-    N2 = np.zeros_like(rho12)
-    for i in range(n1c):
-        for j in range(n2c):
-            vals = {"h1": h1[i, j], "h2": h2[i, j], "b1": b1[i, j], "b2": b2[i, j], "split": split[i, j]}
-            rho12[i, j], rho21[i, j], nfac[i, j], N1[i, j], N2[i, j] = system.splitting_rhos(vals, eps)
-
-    sig1 = np.zeros((n1c, n2c, alg.dim))
-    sig2 = np.zeros_like(sig1)
-    for i in range(n1c):
-        for j in range(n2c):
-            sig1[i, j] = sigma_vector(alg, d1, eps[0], h1[i, j], b1[i, j], N1[i, j])
-            sig2[i, j] = sigma_vector(alg, d2, eps[1], h2[i, j], b2[i, j], N2[i, j])
+    rho12, rho21, nfac, N1, N2 = system.splitting_rhos({"b1": b1, "b2": b2, "split": split}, eps)
+    sig1 = sigma_vector(alg, d1, eps[0], h1, b1, N1)
+    sig2 = sigma_vector(alg, d2, eps[1], h2, b2, N2)
     e1psi = alg.geometric_product(alg.vector(alg.basis_vector(d1)), psi)
     e2psi = alg.geometric_product(alg.vector(alg.basis_vector(d2)), psi)
     v1 = alg.adjoint(e1psi, sig1)
@@ -514,11 +500,7 @@ def lame_residuals(res: CSurfaceResult) -> dict[str, float]:
     out = {}
     out["pin_drift"] = float(np.max(np.abs(alg.adjoint(psi, alg.einf) - alg.einf)))
     # frame residual tau_1 psi - G psi at every interior site
-    biv, einf_ed = _direction_tables(alg, d1)
-    G = np.zeros((n1c - 1, n2c, alg.size))
-    for i in range(n1c - 1):
-        for j in range(n2c):
-            G[i, j] = frame_step_multiplier(alg, d1, eps[0], h1[i, j], b1[i, j], N1[i, j], biv, einf_ed)
+    G = frame_step_multiplier(alg, d1, eps[0], h1[:-1], b1[:-1], N1[:-1], *system._tables[0])
     out["frame_residual"] = float(np.max(np.abs(psi[1:] - alg.geometric_product(G, psi[:-1]))))
     # edge law tau_1 xhat = xhat + eps h1 v1
     out["edge_law"] = float(np.max(np.abs(xhat[1:] - (xhat + eps[0] * h1[..., None] * v1)[:-1])))

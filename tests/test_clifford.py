@@ -67,6 +67,28 @@ class TestGeometricProduct:
         rhs = ALG3.geometric_product(ALG3.reverse(b), ALG3.reverse(a))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
+    @pytest.mark.parametrize("shape_a,shape_b", [
+        ((), ()), ((100,), (100,)), ((), (300,)), ((3, 200), (3, 200)), ((600,), ()),
+    ])
+    def test_table_matches_einsum_contraction(self, rng, shape_a, shape_b):
+        # reference: contraction with the dense structure tensor
+        # T[a, b, a ^ b] = sign(a, b); rounding of a sum of `size` products is
+        # bounded by size * eps * (the same sum over absolute values)
+        for alg in (ALG2, ALG3):
+            size = alg.size
+            tensor = np.zeros((size, size, size))
+            cols = np.arange(size)
+            for blade in range(size):
+                tensor[blade, cols, blade ^ cols] = alg._sign[blade]
+            a = rng.normal(size=shape_a + (size,))
+            b = rng.normal(size=shape_b + (size,))
+            ref = np.einsum("...a,...b,abc->...c", a, b, tensor)
+            bound = size * np.finfo(float).eps * np.einsum(
+                "...a,...b,abc->...c", np.abs(a), np.abs(b), np.abs(tensor))
+            got = alg.geometric_product(a, b)
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= bound)
+
     def test_batched_matches_scalar(self, rng):
         a = rng.normal(size=(7, ALG2.size))
         b = rng.normal(size=(7, ALG2.size))

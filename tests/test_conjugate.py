@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dlame import conjugate
 from dlame.conjugate import (
     ConjugateSystem,
     CornerState,
@@ -73,6 +76,47 @@ class TestBlockSolve:
         c[2, 0] = -1.0 + 1e-13
         with pytest.raises(DegenerateHexahedron):
             dcn_step_c(c, (0.1, 0.1, 1.0), triple=(0, 1, 2), tail_dirs=(2,))
+
+
+    def test_batch_axes_match_single_calls(self, rng):
+        c = rng.uniform(-0.3, 0.3, (2, 3, 4, 4))
+        eps = (0.1, 0.2, 0.3, 1.0)
+        batch = dcn_step_c(c, eps, tail_dirs=(3,))
+        for idx in np.ndindex(2, 3):
+            single = dcn_step_c(c[idx], eps, tail_dirs=(3,))
+            assert single.keys() == batch.keys()
+            assert all(np.array_equal(batch[k][idx], single[k]) for k in single)
+
+    def test_gate_reports_first_failing_row(self, rng):
+        # flat row 2 has a vanishing tail factor; flat row 4 a singular block
+        # (all c_ij = 1 at unit mesh size) whose tail factors are fine
+        c = rng.uniform(-0.2, 0.2, (2, 3, 3, 3))
+        c[1, 1] = 1.0
+        c[0, 2, 2, 1] = -1.0
+        eps = (1.0, 1.0, 1.0)
+        with pytest.raises(DegenerateHexahedron, match="inadmissible") as err:
+            dcn_step_c(c, eps, tail_dirs=(2,))
+        assert err.value.row == 2
+        with pytest.raises(DegenerateHexahedron, match=r"triple \(0, 1, 2\) is singular") as err:
+            dcn_step_c(c[1], eps, tail_dirs=(2,))
+        assert err.value.row == 1
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2, 3]),
+           st.sampled_from([(), (3,)]))
+    def test_stacked_states_match_single_step_calls(self, K, seed, direction, tail_dirs):
+        rng = np.random.default_rng(seed)
+        system = ConjugateSystem(4, 3, tail_dirs=tail_dirs)
+        eps = (0.1, 0.2, 0.15, 1.0 if tail_dirs else 0.1)
+        states = [random_cvals(rng, M=4) for _ in range(K)]
+        for vals in states:
+            vals["w4"] = rng.normal(size=3)
+        stacked = {k: np.stack([np.asarray(v[k], dtype=float) for v in states]) for k in states[0]}
+        batch = system.step(direction, stacked, eps)
+        for r, vals in enumerate(states):
+            single = system.step(direction, vals, eps)
+            assert set(single) == set(batch)
+            assert all(np.array_equal(batch[k][r], v) for k, v in single.items())
 
 
 class TestHexahedron:
@@ -169,6 +213,19 @@ class TestConsistency:
             worst = max(worst, check_4d_consistency(st, (1.0,) * 4) / scale)
         assert worst < 1e-9
 
+    def test_corner_blocks_are_solved_once(self, rng, monkeypatch):
+        # one call for the four triples of the corner, one per shifted cube
+        calls = []
+
+        def counting(c, eps, triple=None, tail_dirs=()):
+            out = dcn_step_c(c, eps, triple, tail_dirs)
+            calls.append(len(out) // 6)
+            return out
+
+        monkeypatch.setattr(conjugate, "dcn_step_c", counting)
+        check_4d_consistency(random_corner(rng, M=4), (1.0,) * 4)
+        assert calls == [4, 1, 1, 1, 1]
+
     def test_zero_coefficients_close_exactly(self, rng):
         st = random_corner(rng, M=4, cmax=0.0)
         assert check_4d_consistency(st, (1.0,) * 4) < 1e-14
@@ -239,6 +296,38 @@ class TestGoursatNets:
         rhs = c21[:-1, :-1, None] * di + c12[:-1, :-1, None] * dj
         scale = np.max(np.linalg.norm(di, axis=-1))
         assert np.max(np.abs(dij - rhs)) < 1e-10 * max(1.0, scale)
+
+
+class PerSiteConjugateSystem(ConjugateSystem):
+    """The conjugate system stepped one site per call by the Goursat driver."""
+
+    batched = False
+
+
+def _random_net_data(rng, npts, tail_layers):
+    M = 3 + tail_layers
+    mesh = MeshSpec(eps=(0.1,) * 3 + (1.0,) * tail_layers, npts=(npts,) * 3 + (2,) * tail_layers,
+                    tail=tail_layers)
+    w = {i: rng.normal(size=(mesh.npts[i], 3)) * 0.3 + np.eye(3)[i % 3] for i in range(M)}
+    c = {}
+    for i, j in itertools.permutations(range(M), 2):
+        lo, hi = sorted((i, j))
+        c[(i, j)] = rng.uniform(-0.2, 0.2, (mesh.npts[lo], mesh.npts[hi]))
+    return mesh, rng.normal(size=3), w, c
+
+
+class TestBatchedConjugateSolve:
+    @pytest.mark.parametrize("tail_layers,request_", [(0, None), (0, ("x",)), (1, ("x",)), (2, ("x",))])
+    def test_matches_per_site_solve(self, rng, monkeypatch, tail_layers, request_):
+        mesh, x0, w, c = _random_net_data(rng, 5, tail_layers)
+        batched = solve_conjugate_net(mesh, x0, w, c, N=3, request=request_)
+        monkeypatch.setattr(conjugate, "ConjugateSystem", PerSiteConjugateSystem)
+        per_site = solve_conjugate_net(mesh, x0, w, c, N=3, request=request_)
+        for name, field in batched.items():
+            assert np.array_equal(field.values, per_site[name].values, equal_nan=True), name
+        if request_ is not None:
+            assert np.isnan(batched["x"].values).sum() == 0
+            assert any(np.isnan(f.values).any() for f in batched.values())
 
 
 class TestJonas:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from dlame.errors import DomainViolation, OrderTooLarge, OutOfBounds, SystemStructureError
+from dlame.errors import (
+    DomainViolation,
+    OrderTooLarge,
+    OutOfBounds,
+    SqrtDomain,
+    SystemStructureError,
+    raise_first,
+)
 from dlame.lattice import (
     Component,
     HyperbolicSystem,
@@ -170,6 +177,56 @@ class TestGoursat:
         ]
         with pytest.raises(SystemStructureError):
             HyperbolicSystem(2, comps)
+
+
+class SiteGate(HyperbolicSystem):
+    """u carries its own site index; stepping a listed (source, direction) fails."""
+
+    batched = True
+
+    def __init__(self, bad):
+        super().__init__(2, [Component("u", (2,), (), {0: ("u",), 1: ("u",)})])
+        self.bad = bad
+
+    def step(self, j, vals, eps, outputs=None):
+        u = np.asarray(vals["u"], dtype=float)
+        hit = np.zeros(u.shape[:-1], dtype=bool)
+        for site, d in self.bad:
+            if d == j:
+                hit |= np.all(u == site, axis=-1)
+        raise_first([(hit, lambda row: SqrtDomain("left the domain"))])
+        return {"u": u + np.eye(2)[j]}
+
+
+class ScalarSiteGate(SiteGate):
+    batched = False
+
+
+class TestDomainViolationSite:
+    # level 4 of a 6 x 6 box in fill order: (0, 4) stepped from (0, 3) in
+    # direction 1, then (1, 3), (2, 2), (3, 1), (4, 0) stepped in direction 0
+    mesh = MeshSpec(eps=(0.5, 0.25), npts=(6, 6))
+
+    @pytest.mark.parametrize("system_cls", [SiteGate, ScalarSiteGate])
+    @pytest.mark.parametrize("bad,site,direction", [
+        # two failures on one level in different directions: the earlier one
+        # in fill order wins, although its direction is stepped second
+        ([((2, 1), 0), ((0, 3), 1)], (0.0, 0.75), 1),
+        # a failure on a later row of a batch is named, not the batch's first row
+        ([((2, 1), 0)], (1.0, 0.25), 0),
+        ([((3, 0), 0), ((1, 2), 0)], (0.5, 0.5), 0),
+    ])
+    def test_first_failure_in_fill_order(self, system_cls, bad, site, direction):
+        with pytest.raises(DomainViolation) as err:
+            goursat_solve(system_cls(bad), self.mesh, {"u": np.zeros(2)})
+        assert err.value.site == site
+        assert all(type(v) is float for v in err.value.site)
+        assert err.value.direction == direction
+        assert isinstance(err.value.cause, SqrtDomain)
+
+    def test_solution_reproduces_site_indices(self):
+        out = goursat_solve(SiteGate([]), self.mesh, {"u": np.zeros(2)})["u"].values
+        assert np.array_equal(out, np.stack(np.indices(self.mesh.shape), axis=-1))
 
 
 class TestConsistencyResidual:

@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dlame import orthogonal
 from dlame.circles import circularity_residual, circularity_residual_batch, miquel_eighth_vertex
 from dlame.clifford import algebra
 from dlame.curves import circle_curve, line_curve, warped_circle_curve
@@ -118,6 +121,65 @@ class TestFrameSystemIdentities:
         system = FrameSurfaceSystem(ALG3, (1, 2), "gamma")
         with pytest.raises(SqrtDomain):
             system.step(0, vals, (1.0, 1.0))
+
+
+class PerSiteFrameSystem(FrameSurfaceSystem):
+    """The frame system stepped one site per call by the Goursat driver."""
+
+    batched = False
+
+
+def _same_fields(a, b):
+    for name in a:
+        assert np.array_equal(a[name].values, b[name].values, equal_nan=True), name
+
+
+class TestBatchedFrameSolve:
+    def test_gamma_surface_matches_per_site_solve(self, monkeypatch):
+        data = csurface_data_from_oracle(EllipticOracle(), np.pi / 20, 4 * np.pi / 10)
+        batched = csurface_solve(data).fields
+        monkeypatch.setattr(orthogonal, "FrameSurfaceSystem", PerSiteFrameSystem)
+        _same_fields(batched, csurface_solve(data).fields)
+
+    def test_alpha_transform_matches_per_site_solve(self, monkeypatch):
+        def solve():
+            return ribaucour_solve(ALG3, warped_circle_curve(1.0, 0.3, dim=3), lambda t: -1.0 + 0.2 * t,
+                                   np.array([0.55, 0.0, 0.1]), np.pi / 40, 0.6).result.fields
+
+        batched = solve()
+        monkeypatch.setattr(orthogonal, "FrameSurfaceSystem", PerSiteFrameSystem)
+        _same_fields(batched, solve())
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from(["gamma", "alpha"]),
+           st.sampled_from([0, 1]))
+    def test_stacked_states_match_single_calls(self, K, seed, splitting, direction):
+        rng = np.random.default_rng(seed)
+        system = FrameSurfaceSystem(ALG3, (1, 2), splitting)
+        eps = (0.1, 0.1) if splitting == "gamma" else (0.1, 1.0)
+        states = [random_surface_state(ALG3, rng) for _ in range(K)]
+        stacked = {k: np.stack([np.asarray(v[k], dtype=float) for v in states]) for k in states[0]}
+        batch = system.step(direction, stacked, eps)
+        for r, vals in enumerate(states):
+            single = system.step(direction, vals, eps)
+            assert set(single) == set(batch)
+            for name, value in single.items():
+                assert np.array_equal(batch[name][r], value), name
+
+    def test_gates_report_first_failing_row(self, rng):
+        # row 3 fails the first gate (N_1^2 > 0), row 1 only the second
+        # (N_2^2 > 0, an admissibility bound under the alpha splitting)
+        system = FrameSurfaceSystem(ALG3, (1, 2), "alpha")
+        states = [random_surface_state(ALG3, rng) for _ in range(4)]
+        stacked = {k: np.stack([np.asarray(v[k], dtype=float) for v in states]) for k in states[0]}
+        stacked["b1"][3] = [0.0, 15.0, 15.0]
+        stacked["b2"][1] = [3.0, 0.0, 3.0]
+        with pytest.raises(OutsideDomain) as err:
+            system.step(0, stacked, (0.1, 1.0))
+        assert err.value.row == 1
+        with pytest.raises(SqrtDomain) as err:
+            system.step(0, {k: v[2:] for k, v in stacked.items()}, (0.1, 1.0))
+        assert err.value.row == 1
 
 
 class TestReadOff:
@@ -475,6 +537,17 @@ class TestRibaucourPair3D:
             for a, b in itertools.combinations(range(4), 2)
         )
         assert worst < 1e-10
+
+    def test_fine_mesh_failure_site_is_pinned(self):
+        # at eps = 0.025 the bulk propagation meets a singular implicit block;
+        # the driver names the first failing site in fill order
+        spec, seed = self._spec_and_seed(eps=0.025)
+        with pytest.raises(DomainViolation) as err:
+            ribaucour_pair_3d(spec, {i: (lambda t: -1.0) for i in (1, 2, 3)}, seed)
+        assert err.value.site == (0.375, 0.275, 0.0, 0.0)
+        assert all(type(v) is float for v in err.value.site)
+        assert err.value.direction == 3
+        assert str(err.value.cause) == "implicit block for triple (0, 1, 3) is singular"
 
     def test_transform_axes_match_independent_pair_solves(self):
         # the bulk conjugate propagation and the per-axis frame solves are two
