@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .clifford import algebra
-from .errors import CoincidentPoints, DegenerateEdges
+from .errors import CoincidentPoints, DegenerateEdges, raise_first
 
 __all__ = [
     "circularity_residual",
@@ -51,18 +51,25 @@ def circularity_residual_batch(quads: np.ndarray) -> np.ndarray:
 
 
 def circumcircle(a, b, c):
-    """Center, radius and an orthonormal in-plane basis of the circle through a, b, c."""
+    """Center, radius and an orthonormal in-plane basis of the circle through a, b, c.
+
+    The points are (..., N) arrays with any (broadcastable) leading batch
+    axes; the results carry the batch axes: center (..., N), radius (...),
+    basis (..., N, 2).  Raises DegenerateEdges, carrying the first offending
+    batch row, when three points are collinear.
+    """
     a, b, c = (np.asarray(p, dtype=float) for p in (a, b, c))
-    u, v = b - a, c - a
-    basis, _ = np.linalg.qr(np.stack([u, v], axis=1))
-    uu, vv = basis.T @ u, basis.T @ v
-    A = 2.0 * np.stack([uu, vv])
-    rhs = np.array([uu @ uu, vv @ vv])
-    if abs(np.linalg.det(A)) < 1e-14 * max(1.0, np.max(np.abs(A))) ** 2:
-        raise DegenerateEdges("circumcircle of collinear points")
-    y = np.linalg.solve(A, rhs)
-    center = a + basis @ y
-    radius = float(np.linalg.norm(center - a))
+    uv = np.stack(np.broadcast_arrays(b - a, c - a), axis=-1)     # (..., N, 2)
+    basis, _ = np.linalg.qr(uv)
+    p = np.swapaxes(basis, -1, -2) @ uv       # columns: u and v in the basis
+    A = 2.0 * np.swapaxes(p, -1, -2)
+    rhs = np.sum(p * p, axis=-2)
+    bound = 1e-14 * np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1))) ** 2
+    raise_first([(np.abs(np.linalg.det(A)) < bound,
+                  lambda row: DegenerateEdges("circumcircle of collinear points"))])
+    y = np.linalg.solve(A, rhs[..., None])
+    center = a + (basis @ y)[..., 0]
+    radius = np.linalg.norm(center - a, axis=-1)[()]
     return center, radius, basis
 
 

@@ -16,7 +16,7 @@ from .io import write_csv, write_json, write_svg
 from .oracles import EllipticOracle, FlatOracle, SphericalOracle, csurface_data_from_oracle
 from .orthogonal import csurface_solve, orthosys_assemble, ribaucour_solve
 from .conjugate import solve_conjugate_net
-from .lattice import MeshSpec
+from .lattice import MeshSpec, mesh_points
 
 __all__ = ["main", "parse_eps", "build_parser"]
 
@@ -213,7 +213,7 @@ def run(args) -> int:
 
 def _conjugate_from_oracle(oracle, eps, r):
     """Conjugate net with coefficients c_ij = h_i beta_ij / h_j from the oracle."""
-    npts = int(np.floor(r / eps + 1e-9)) + 1
+    npts = mesh_points(r, eps)
     t = np.arange(npts + 1) * eps
     if oracle.n == 2:
         mesh = MeshSpec((eps, eps), (npts, npts))

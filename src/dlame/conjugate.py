@@ -318,26 +318,34 @@ def elementary_hexahedron(state: CornerState, eps) -> np.ndarray:
 
 
 def extract_rotation_coeffs(x, xi, xj, xij, eps_i: float, eps_j: float):
-    """Invert the planarity relation on one quadrilateral.
+    """Invert the planarity relation on quadrilaterals (x, xi, xj, xij).
 
-    Returns (c_ij, c_ji) with delta_i delta_j x = c_ji delta_i x + c_ij delta_j x.
+    The vertices are (..., N) arrays with any (broadcastable) leading batch
+    axes.  Returns (c_ij, c_ji) over the batch axes, with
+    delta_i delta_j x = c_ji delta_i x + c_ij delta_j x solved in the least
+    squares sense through the SVD of the edge pair.  Raises DegenerateEdges
+    or NonPlanarQuad, carrying the first offending batch row.
     """
     x, xi, xj, xij = (np.asarray(p, dtype=float) for p in (x, xi, xj, xij))
     di = (xi - x) / eps_i
     dj = (xj - x) / eps_j
     m = (xij - xi - xj + x) / (eps_i * eps_j)
-    scale = max(np.linalg.norm(di), np.linalg.norm(dj), 1e-300)
-    E = np.stack([di, dj], axis=1)
-    sv = np.linalg.svd(E, compute_uv=False)
-    if sv[-1] < 1e-10 * scale:
-        raise DegenerateEdges("quadrilateral edges are collinear")
-    if len(x) >= 3:
-        planar = np.stack([di, dj, m], axis=1)
-        if np.linalg.svd(planar, compute_uv=False)[2] > TOL.planarity * max(scale, np.linalg.norm(m)):
-            raise NonPlanarQuad("quadrilateral is not planar to tolerance")
-    coef, *_ = np.linalg.lstsq(E, m, rcond=None)
-    c_ji, c_ij = float(coef[0]), float(coef[1])
-    return c_ij, c_ji
+    di, dj, m = np.broadcast_arrays(di, dj, m)
+    scale = np.maximum(np.maximum(np.linalg.norm(di, axis=-1), np.linalg.norm(dj, axis=-1)), 1e-300)
+    E = np.stack([di, dj], axis=-1)                     # (..., N, 2)
+    u, sv, vt = np.linalg.svd(E, full_matrices=False)
+    checks = [(sv[..., -1] < 1e-10 * scale,
+               lambda row: DegenerateEdges("quadrilateral edges are collinear"))]
+    if x.shape[-1] >= 3:
+        planar = np.linalg.svd(np.stack([di, dj, m], axis=-1), compute_uv=False)[..., 2]
+        checks.append((planar > TOL.planarity * np.maximum(scale, np.linalg.norm(m, axis=-1)),
+                       lambda row: NonPlanarQuad("quadrilateral is not planar to tolerance")))
+    raise_first(checks)
+    # coef = V diag(1/s) U^T m, the least squares solution of E coef = m
+    proj = (np.swapaxes(u, -1, -2) @ m[..., None])[..., 0] / sv
+    coef = (np.swapaxes(vt, -1, -2) @ proj[..., None])[..., 0]
+    # [()] makes a single quad's 0-d results plain scalars
+    return coef[..., 1][()], coef[..., 0][()]
 
 
 def solve_conjugate_net(

@@ -43,19 +43,21 @@ def circle_records(x: np.ndarray, tol_rel: float = 1e-8):
 
     The circle of a cell is determined by its first three vertices; the fourth
     vertex must sit on it within tol_rel * radius or ValueError is raised,
-    which makes the record list a circularity witness of the whole net.
+    naming the first such cell in row-major order, which makes the record
+    list a circularity witness of the whole net.  A cell with collinear
+    vertices raises DegenerateEdges first, with `row` its row-major index.
+    Records are in row-major cell order.
     """
     if x.ndim != 3 or x.shape[-1] != 2:
         raise NonPlanarExport("circle records need a two-dimensional planar field")
-    records = []
-    for i in range(x.shape[0] - 1):
-        for j in range(x.shape[1] - 1):
-            a, b, c, d = x[i, j], x[i + 1, j], x[i + 1, j + 1], x[i, j + 1]
-            center, radius, _ = circumcircle(a, b, c)
-            if abs(np.linalg.norm(d - center) - radius) > tol_rel * radius:
-                raise ValueError(f"cell ({i}, {j}) is not concircular")
-            records.append(CircleRecord((i, j), (float(center[0]), float(center[1])), radius))
-    return records
+    center, radius, _ = circumcircle(x[:-1, :-1], x[1:, :-1], x[1:, 1:])
+    off = np.abs(np.linalg.norm(x[:-1, 1:] - center, axis=-1) - radius) > tol_rel * radius
+    if off.any():
+        i, j = np.argwhere(off)[0].tolist()
+        raise ValueError(f"cell ({i}, {j}) is not concircular")
+    cells = np.ndindex(radius.shape)
+    return [CircleRecord(cell, (cx, cy), r) for cell, (cx, cy), r in
+            zip(cells, center.reshape(-1, 2).tolist(), radius.ravel().tolist())]
 
 
 def field_rows(x: np.ndarray, eps) -> tuple[list[str], list[list[float]]]:

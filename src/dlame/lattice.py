@@ -26,6 +26,7 @@ from .errors import (
 
 __all__ = [
     "MeshSpec",
+    "mesh_points",
     "LatticeField",
     "Component",
     "HyperbolicSystem",
@@ -54,7 +55,7 @@ class MeshSpec:
     @classmethod
     def box(cls, m: int, eps: float, r: float, tail: int = 0) -> "MeshSpec":
         """Uniform box: m directions of mesh eps on [0, r], plus tail transform layers."""
-        npts = int(np.floor(r / eps + 1e-9)) + 1
+        npts = mesh_points(r, eps)
         return cls(
             eps=(eps,) * m + (1.0,) * tail,
             npts=(npts,) * m + (2,) * tail,
@@ -91,6 +92,11 @@ class MeshSpec:
         return buckets
 
 
+def mesh_points(r: float, eps: float) -> int:
+    """Sites of mesh eps on [0, r]; the slack keeps r = k eps from losing a site to round-off."""
+    return int(np.floor(r / eps + 1e-9)) + 1
+
+
 @dataclass
 class LatticeField:
     """Values attached to mesh sites; trailing axes hold the per-site value."""
@@ -101,10 +107,6 @@ class LatticeField:
     def __post_init__(self):
         if self.values.shape[: self.mesh.M] != self.mesh.shape:
             raise ValueError("values shape does not match mesh")
-
-    @property
-    def value_shape(self) -> tuple[int, ...]:
-        return self.values.shape[self.mesh.M:]
 
     def _slab(self, direction: int, lo: int, hi: int | None) -> np.ndarray:
         sl = [slice(None)] * self.values.ndim

@@ -15,6 +15,7 @@ import numpy as np
 from .clifford import algebra
 from .curves import SmoothCurve
 from .errors import SingularPoint
+from .lattice import mesh_points
 from .orthogonal import CurveData, OrthoSurfaceSpec, suited_frame
 
 __all__ = ["EllipticOracle", "SphericalOracle", "FlatOracle"]
@@ -201,7 +202,7 @@ class SphericalOracle:
     def surface_spec(self, eps: float, r: float, stagger: bool = False) -> OrthoSurfaceSpec:
         """Closed-form axis data and splitting fields on an extended box."""
         alg = algebra(3)
-        npts = int(np.floor(r / eps + 1e-9)) + 2   # one spare site
+        npts = mesh_points(r, eps) + 1   # one spare site
         t = np.arange(npts) * eps + (eps / 2.0 if stagger else 0.0)
         zeros = np.zeros_like(t)
 
@@ -268,8 +269,8 @@ def csurface_data_from_oracle(oracle, eps: float, r: float, stagger: bool = Fals
     from .orthogonal import CSurfaceData
 
     alg = algebra(2)
-    n1 = int(np.floor(r / eps + 1e-9)) + 1 + extra
-    n2 = n1 if r2 is None else int(np.floor(r2 / eps + 1e-9)) + 1 + extra
+    n1 = mesh_points(r, eps) + extra
+    n2 = n1 if r2 is None else mesh_points(r2, eps) + extra
     shift = eps / 2.0 if stagger else 0.0
     t1 = np.arange(n1) * eps + shift
     t2 = np.arange(n2) * eps + shift

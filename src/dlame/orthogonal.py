@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circles import circularity_residual_batch
+from .circles import circularity_residual_batch, point_on_circumcircle
 from .clifford import Algebra
 from .config import TOL
 from .conjugate import extract_rotation_coeffs, solve_conjugate_net
@@ -44,7 +44,7 @@ from .errors import (
     SqrtDomain,
     raise_first,
 )
-from .lattice import Component, HyperbolicSystem, LatticeField, MeshSpec, goursat_solve
+from .lattice import Component, HyperbolicSystem, LatticeField, MeshSpec, goursat_solve, mesh_points
 
 __all__ = [
     "FrameSurfaceSystem",
@@ -61,7 +61,7 @@ __all__ = [
     "ribaucour_solve",
     "RibaucourResult",
     "ribaucour_pair_3d",
-    "frame_to_point",
+    "iterated_ribaucour_net",
     "frame_points",
     "lame_residuals",
     "quad_stack",
@@ -369,7 +369,7 @@ def canonical_discretization(
     Pre-sampled coefficients can be passed through `data` (closed-form
     oracles); the curve itself is then not consulted.
     """
-    npts = int(np.floor(r / eps + 1e-9)) + 1
+    npts = mesh_points(r, eps)
     t = np.arange(npts) * eps + (eps / 2.0 if stagger else 0.0)
     if data is None:
         if curve is None:
@@ -453,12 +453,8 @@ def csurface_solve(data: CSurfaceData, request=None) -> CSurfaceResult:
     return CSurfaceResult(alg, mesh, data.dirs, data.splitting, fields, x)
 
 
-def frame_to_point(alg: Algebra, psi: np.ndarray) -> np.ndarray:
-    """Euclidean position encoded by an adapted frame."""
-    return alg.drop_to_euclidean(alg.adjoint(psi, alg.e0))
-
-
 def frame_points(alg: Algebra, psi_values: np.ndarray) -> np.ndarray:
+    """Euclidean positions encoded by adapted frames (..., size) -> (..., N)."""
     return alg.drop_to_euclidean(alg.adjoint(psi_values, alg.e0))
 
 
@@ -549,6 +545,10 @@ class OrthosysResult:
     curves: dict[int, DiscreteCurve]
 
 
+# Clifford labels of the three coordinate directions of an assembled system
+_LABELS = (1, 2, 3)
+
+
 def orthosys_assemble(spec: OrthoSurfaceSpec) -> OrthosysResult:
     """Assemble a three-dimensional discrete orthogonal system from its
     coordinate surfaces: solve each surface in frame form, read its conjugate
@@ -557,17 +557,16 @@ def orthosys_assemble(spec: OrthoSurfaceSpec) -> OrthosysResult:
     alg = spec.alg
     eps = spec.eps
     npts = spec.npts            # includes one spare site for differences/quads
-    labels = (1, 2, 3)
 
     curves = {}
-    for i in labels:
+    for i in _LABELS:
         curves[i] = canonical_discretization(
             alg, None, spec.psi0, i, eps, (npts - 1) * eps, data=spec.axis[i]
         )
 
     surfaces = {}
     cdata = {}
-    for i, j in itertools.combinations(labels, 2):
+    for i, j in itertools.combinations(_LABELS, 2):
         data = CSurfaceData(
             alg=alg,
             psi0=spec.psi0,
@@ -582,28 +581,24 @@ def orthosys_assemble(spec: OrthoSurfaceSpec) -> OrthosysResult:
         )
         surf = csurface_solve(data)
         surfaces[(i, j)] = surf
-        nq = npts - 1
-        cij = np.zeros((nq, nq))
-        cji = np.zeros((nq, nq))
-        for a in range(nq):
-            for b in range(nq):
-                cij[a, b], cji[a, b] = extract_rotation_coeffs(
-                    surf.x[a, b], surf.x[a + 1, b], surf.x[a, b + 1], surf.x[a + 1, b + 1], eps, eps
-                )
-        cdata[(i, j)] = cij
-        cdata[(j, i)] = cji
+        x = surf.x
+        cdata[(i, j)], cdata[(j, i)] = extract_rotation_coeffs(
+            x[:-1, :-1], x[1:, :-1], x[:-1, 1:], x[1:, 1:], eps, eps)
 
     n = npts - 1                 # the requested box
     mesh = MeshSpec(eps=(eps,) * 3, npts=(n,) * 3)
-    w_axis = {}
-    for a, i in enumerate(labels):
-        pts = curves[i].points
-        w_axis[a] = (pts[1:n + 1] - pts[:n]) / eps
-    c_in = {}
-    for a, b in itertools.permutations(range(3), 2):
-        c_in[(a, b)] = cdata[(labels[a], labels[b])][:n, :n]
-    fields = solve_conjugate_net(mesh, spec.x0, w_axis, c_in, N=alg.n)
+    fields = solve_conjugate_net(mesh, spec.x0, *_bulk_inputs(curves, cdata, eps, n), N=alg.n)
     return OrthosysResult(spec, surfaces, cdata, fields, fields["x"].values, curves)
+
+
+def _bulk_inputs(curves: dict[int, DiscreteCurve], cdata, eps: float, n: int):
+    """Goursat data (w_axis, c_data) of the three coordinate directions of an
+    assembled system on the box of n sites per direction."""
+    w_axis = {a: (curves[i].points[1:n + 1] - curves[i].points[:n]) / eps
+              for a, i in enumerate(_LABELS)}
+    c_in = {(a, b): cdata[(_LABELS[a], _LABELS[b])][:n, :n]
+            for a, b in itertools.permutations(range(3), 2)}
+    return w_axis, c_in
 
 
 # -- Ribaucour transforms --------------------------------------------------------
@@ -692,7 +687,7 @@ def ribaucour_solve(
     the positive branch of N_2.
     """
     d1, d2 = dirs
-    npts = int(np.floor(r / eps + 1e-9)) + 1
+    npts = mesh_points(r, eps)
     t = np.arange(npts) * eps
     x0 = np.asarray(curve.x(0.0), dtype=float)
     dx0 = np.asarray(curve.dx(0.0), dtype=float)
@@ -731,64 +726,15 @@ def enveloping_residual(base: np.ndarray, transform: np.ndarray, eps: float) -> 
     return float(np.max(np.abs(np.sum((db + dt) * mid, axis=1))))
 
 
-def double_ribaucour_net(
-    alg: Algebra,
-    curve: SmoothCurve,
-    alpha_fns,
-    seeds,
-    corner_angle: float,
-    eps: float,
-    r: float,
-):
-    """Curve with two Ribaucour transforms and their common iterate.
-
-    Builds the two curve/transform pairs, places the double-transform corner
-    on the circumcircle of the three seed points (realizing one member of the
-    one-parameter family), and propagates the three-directional conjugate net.
-    Returns the point field of shape (n, 2, 2, N).
-    """
-    from .circles import point_on_circumcircle
-
-    npts = int(np.floor(r / eps + 1e-9)) + 1
-    pairs = [
-        ribaucour_solve(alg, curve, alpha_fns[a], seeds[a], eps, r + eps)
-        for a in range(2)
-    ]
-    n = npts
-    x0 = pairs[0].base[0]
-    seeds = [np.asarray(s, dtype=float) for s in seeds]
-    corner = point_on_circumcircle(x0, seeds[0], seeds[1], corner_angle)
-    c12, c21 = extract_rotation_coeffs(x0, seeds[0], seeds[1], corner, 1.0, 1.0)
-
-    c_axis = {}
-    for a, pair in enumerate(pairs):
-        ciM = np.zeros(n)
-        cMi = np.zeros(n)
-        for s in range(n):
-            ciM[s], cMi[s] = extract_rotation_coeffs(
-                pair.base[s], pair.base[s + 1], pair.transform[s], pair.transform[s + 1], eps, 1.0
-            )
-        c_axis[a] = (ciM, cMi)
-
-    mesh = MeshSpec(eps=(eps, 1.0, 1.0), npts=(n, 2, 2), tail=2)
-    w_axis = {
-        0: (pairs[0].base[1:n + 1] - pairs[0].base[:n]) / eps,
-        1: np.broadcast_to(seeds[0] - x0, (2, alg.n)).copy(),
-        2: np.broadcast_to(seeds[1] - x0, (2, alg.n)).copy(),
-    }
-    c_in = {
-        (0, 1): np.stack([c_axis[0][0]] * 2, axis=1),
-        (1, 0): np.stack([c_axis[0][1]] * 2, axis=1),
-        (0, 2): np.stack([c_axis[1][0]] * 2, axis=1),
-        (2, 0): np.stack([c_axis[1][1]] * 2, axis=1),
-        (1, 2): np.full((2, 2), c12),
-        (2, 1): np.full((2, 2), c21),
-    }
-    fields = solve_conjugate_net(mesh, x0, w_axis, c_in, N=alg.n, request=("x",))
-    return fields["x"].values
+def _pair_coeffs(pair: RibaucourResult, n: int, eps: float):
+    """(c_iM, c_Mi) on the first n quads between a curve and its transform,
+    shaped (n, 1) to broadcast over the two transform layers."""
+    x, xt = pair.base, pair.transform
+    c_iM, c_Mi = extract_rotation_coeffs(x[:n], x[1:n + 1], xt[:n], xt[1:n + 1], eps, 1.0)
+    return c_iM[:, None], c_Mi[:, None]
 
 
-def triple_ribaucour_net(
+def iterated_ribaucour_net(
     alg: Algebra,
     curve: SmoothCurve,
     alpha_fns,
@@ -797,53 +743,49 @@ def triple_ribaucour_net(
     eps: float,
     r: float,
 ):
-    """Curve with three Ribaucour transforms and all iterated transforms.
+    """Curve with k = len(seeds) Ribaucour transforms and all their iterates.
 
-    The three double-transform corners are placed on the circumcircles of the
-    respective seed triples; the final corner of the transform cube is then
-    determined by the lattice equations alone.  Returns the point field of
-    shape (n, 2, 2, 2, N).
+    Transform a is the curve/transform pair solve with splitting alpha_fns[a]
+    and seed seeds[a].  The corner of every two transforms a < b (in
+    itertools.combinations order, one angle of corner_angles each) is placed
+    on the circumcircle of the curve start and the two seeds, realizing one
+    member of the one-parameter family; the rest of the k-dimensional
+    transform cube is then determined by the lattice equations alone
+    (permutability).  Returns the point field of shape (n,) + (2,) * k + (N,).
     """
-    from .circles import point_on_circumcircle
-
-    npts = int(np.floor(r / eps + 1e-9)) + 1
-    pairs = [
-        ribaucour_solve(alg, curve, alpha_fns[a], seeds[a], eps, r + eps)
-        for a in range(3)
-    ]
-    n = npts
+    k = len(seeds)
+    n = mesh_points(r, eps)
+    pairs = [ribaucour_solve(alg, curve, alpha_fns[a], seeds[a], eps, r + eps) for a in range(k)]
     x0 = pairs[0].base[0]
-    seeds = [np.asarray(s, dtype=float) for s in seeds]
-
-    c_axis = {}
-    for a, pair in enumerate(pairs):
-        ciM = np.zeros(n)
-        cMi = np.zeros(n)
-        for s in range(n):
-            ciM[s], cMi[s] = extract_rotation_coeffs(
-                pair.base[s], pair.base[s + 1], pair.transform[s], pair.transform[s + 1], eps, 1.0
-            )
-        c_axis[a] = (ciM, cMi)
-
-    c_corner = {}
-    for (a, b), ang in zip(((0, 1), (0, 2), (1, 2)), corner_angles):
-        corner = point_on_circumcircle(x0, seeds[a], seeds[b], ang)
-        c_corner[(a, b)] = extract_rotation_coeffs(x0, seeds[a], seeds[b], corner, 1.0, 1.0)
-
-    mesh = MeshSpec(eps=(eps, 1.0, 1.0, 1.0), npts=(n, 2, 2, 2), tail=3)
+    seeds = np.array(seeds, dtype=float)
     w_axis = {0: (pairs[0].base[1:n + 1] - pairs[0].base[:n]) / eps}
-    for a in range(3):
-        w_axis[a + 1] = np.broadcast_to(seeds[a] - x0, (2, alg.n)).copy()
     c_in = {}
-    for a in range(3):
-        ciM, cMi = c_axis[a]
-        c_in[(0, a + 1)] = np.broadcast_to(ciM[:, None], (n, 2)).copy()
-        c_in[(a + 1, 0)] = np.broadcast_to(cMi[:, None], (n, 2)).copy()
-    for (a, b), (cab, cba) in c_corner.items():
-        c_in[(a + 1, b + 1)] = np.full((2, 2), cab)
-        c_in[(b + 1, a + 1)] = np.full((2, 2), cba)
+    for a, pair in enumerate(pairs):
+        w_axis[a + 1] = seeds[a] - x0
+        c_in[(0, a + 1)], c_in[(a + 1, 0)] = _pair_coeffs(pair, n, eps)
+    corner_pairs = list(itertools.combinations(range(k), 2))
+    if corner_pairs:
+        first, second = np.array(corner_pairs).T
+        corners = np.array([point_on_circumcircle(x0, seeds[a], seeds[b], angle)
+                            for (a, b), angle in zip(corner_pairs, corner_angles)])
+        c_ab, c_ba = extract_rotation_coeffs(x0, seeds[first], seeds[second], corners, 1.0, 1.0)
+        for (a, b), cab, cba in zip(corner_pairs, c_ab, c_ba):
+            c_in[(a + 1, b + 1)], c_in[(b + 1, a + 1)] = cab, cba
+    mesh = MeshSpec(eps=(eps,) + (1.0,) * k, npts=(n,) + (2,) * k, tail=k)
     fields = solve_conjugate_net(mesh, x0, w_axis, c_in, N=alg.n, request=("x",))
     return fields["x"].values
+
+
+def double_ribaucour_net(alg: Algebra, curve: SmoothCurve, alpha_fns, seeds,
+                         corner_angle: float, eps: float, r: float):
+    """Two Ribaucour transforms and their common iterate, shape (n, 2, 2, N)."""
+    return iterated_ribaucour_net(alg, curve, alpha_fns, seeds, (corner_angle,), eps, r)
+
+
+def triple_ribaucour_net(alg: Algebra, curve: SmoothCurve, alpha_fns, seeds,
+                         corner_angles, eps: float, r: float):
+    """Three Ribaucour transforms and all iterates, shape (n, 2, 2, 2, N)."""
+    return iterated_ribaucour_net(alg, curve, alpha_fns, seeds, corner_angles, eps, r)
 
 
 @dataclass
@@ -869,13 +811,13 @@ def ribaucour_pair_3d(
     alg = spec.alg
     eps = spec.eps
     base = orthosys_assemble(spec)
-    labels = (1, 2, 3)
     n = spec.npts - 1
+    w_axis, c_in = _bulk_inputs(base.curves, base.cdata, eps, n)
+    w_axis[3] = np.asarray(xplus0, dtype=float) - spec.x0
 
     pairs = {}
-    c_tail = {}
-    for a, i in enumerate(labels):
-        d2 = labels[(a + 1) % 3]
+    for a, i in enumerate(_LABELS):
+        d2 = _LABELS[(a + 1) % 3]
         data = ribaucour_data(
             alg,
             spec.axis[i],
@@ -887,28 +829,9 @@ def ribaucour_pair_3d(
             eps,
         )
         res = csurface_solve(data)
-        pair = RibaucourResult(alg, res, res.x, (i, d2))
-        pairs[i] = pair
-        ciM = np.zeros(n)
-        cMi = np.zeros(n)
-        for s in range(n):
-            ciM[s], cMi[s] = extract_rotation_coeffs(
-                pair.base[s], pair.base[s + 1], pair.transform[s], pair.transform[s + 1], eps, 1.0
-            )
-        c_tail[(a, 3)] = np.stack([ciM, ciM], axis=1)[:n]
-        c_tail[(3, a)] = np.stack([cMi, cMi], axis=1)[:n]
+        pairs[i] = RibaucourResult(alg, res, res.x, (i, d2))
+        c_in[(a, 3)], c_in[(3, a)] = _pair_coeffs(pairs[i], n, eps)
 
     mesh = MeshSpec(eps=(eps,) * 3 + (1.0,), npts=(n,) * 3 + (2,), tail=1)
-    w_axis = {}
-    for a, i in enumerate(labels):
-        pts = base.curves[i].points
-        w_axis[a] = (pts[1:n + 1] - pts[:n]) / eps
-    w_axis[3] = np.broadcast_to(np.asarray(xplus0, dtype=float) - spec.x0, (2, alg.n)).copy()
-    c_in = {}
-    for a, b in itertools.permutations(range(3), 2):
-        c_in[(a, b)] = base.cdata[(labels[a], labels[b])][:n, :n]
-    for a in range(3):
-        c_in[(a, 3)] = c_tail[(a, 3)]
-        c_in[(3, a)] = c_tail[(3, a)]
     fields = solve_conjugate_net(mesh, spec.x0, w_axis, c_in, N=alg.n, request=("x",))
     return RibaucourPair3D(base, pairs, fields, fields["x"].values)

@@ -47,6 +47,25 @@ class TestCircumcircle:
         with pytest.raises(DegenerateEdges):
             circumcircle(np.zeros(2), np.array([1.0, 0]), np.array([2.0, 0]))
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batched_matches_per_cell_calls(self, rng, dim):
+        a, b, c = rng.normal(size=(3, 4, 5, dim))
+        center, radius, basis = circumcircle(a, b, c)
+        assert center.shape == (4, 5, dim) and radius.shape == (4, 5) and basis.shape == (4, 5, dim, 2)
+        tol = 8 * np.finfo(float).eps
+        for idx in np.ndindex(4, 5):
+            c1, r1, b1 = circumcircle(a[idx], b[idx], c[idx])
+            assert np.max(np.abs(center[idx] - c1)) <= tol * (1 + np.max(np.abs(c1)))
+            assert abs(radius[idx] - r1) <= tol * (1 + r1)
+            assert np.max(np.abs(basis[idx] - b1)) <= tol
+
+    def test_collinear_cell_among_good_cells(self, rng):
+        a, b, c = rng.normal(size=(3, 6, 2))
+        c[2] = 2.0 * b[2] - a[2]
+        with pytest.raises(DegenerateEdges) as err:
+            circumcircle(a, b, c)
+        assert err.value.row == 2
+
     def test_point_parametrization_stays_on_circle(self, rng):
         a, b, c = rng.normal(size=(3, 3))
         center, radius, _ = circumcircle(a, b, c)

@@ -72,6 +72,16 @@ class TestExports:
         assert np.allclose(rec.center, [eps / 2, eps / 2])
         assert abs(rec.radius - eps / np.sqrt(2)) < 1e-14
 
+    def test_circle_records_name_first_bad_cell_in_row_major_order(self):
+        g1, g2 = np.meshgrid(np.arange(5.0), np.arange(6.0), indexing="ij")
+        x = np.stack([g1, g2], axis=-1)
+        # the vertex (1, 4) spoils cells (0, 3) .. (1, 4), the vertex (3, 1)
+        # cells (2, 0) .. (3, 1); column-major order would meet (2, 0) first
+        x[1, 4] += [0.1, 0.05]
+        x[3, 1] += [0.1, 0.05]
+        with pytest.raises(ValueError, match=r"^cell \(0, 3\) is not concircular$"):
+            circle_records(x)
+
     def test_svg_rejects_space_nets(self, tmp_path, rng):
         x = rng.normal(size=(3, 3, 3))
         with pytest.raises(NonPlanarExport):

@@ -19,9 +19,10 @@ from dlame.conjugate import (
     net_planarity_residual,
     solve_conjugate_net,
 )
-from dlame.errors import DegenerateEdges, DegenerateHexahedron
+from dlame.errors import DegenerateEdges, DegenerateHexahedron, NonPlanarQuad
 from dlame.lattice import MeshSpec, consistency_residual
-from dlame.oracles import EllipticOracle
+from dlame.oracles import EllipticOracle, csurface_data_from_oracle
+from dlame.orthogonal import csurface_solve
 
 
 def random_corner(rng, M=3, N=3, cmax=0.2):
@@ -178,6 +179,55 @@ class TestExtractRotationCoeffs:
         with pytest.raises(DegenerateEdges):
             extract_rotation_coeffs(np.zeros(3), np.array([1.0, 0, 0]), np.array([2.0, 0, 0]),
                                     np.array([3.0, 0, 0]), 1.0, 1.0)
+
+    @staticmethod
+    def _lstsq_reference(x, xi, xj, xij, ei, ej):
+        """Per-quad least squares inversion of the planarity relation."""
+        E = np.stack([(xi - x) / ei, (xj - x) / ej], axis=1)
+        m = (xij - xi - xj + x) / (ei * ej)
+        coef, *_ = np.linalg.lstsq(E, m, rcond=None)
+        sv = np.linalg.svd(E, compute_uv=False)
+        # round-off scale of the solve: |m| / sigma_min times the condition number
+        scale = np.linalg.norm(m) / sv[-1] * (sv[0] / sv[-1])
+        return coef[1], coef[0], E.size + m.size, scale
+
+    def _check_against_reference(self, quads, ei, ej):
+        c_ij, c_ji = extract_rotation_coeffs(*quads, ei, ej)
+        assert c_ij.shape == c_ji.shape == quads[0].shape[:-1]
+        for idx in np.ndindex(c_ij.shape):
+            ref_ij, ref_ji, size, scale = self._lstsq_reference(*(q[idx] for q in quads), ei, ej)
+            bound = size * np.finfo(float).eps * scale
+            assert abs(c_ij[idx] - ref_ij) <= bound and abs(c_ji[idx] - ref_ji) <= bound
+
+    def test_batched_matches_per_quad_lstsq_on_surface(self):
+        eps = np.pi / 40
+        x = csurface_solve(csurface_data_from_oracle(EllipticOracle(), eps, 4 * np.pi / 10)).x
+        self._check_against_reference((x[:-1, :-1], x[1:, :-1], x[:-1, 1:], x[1:, 1:]), eps, eps)
+
+    def test_batched_matches_per_quad_lstsq_on_random_planar_quads(self, rng):
+        K, ei, ej = 64, 0.3, 0.7
+        x, w1, w2 = rng.normal(size=(3, K, 3))
+        c = rng.uniform(-0.5, 0.5, (2, K, 1))
+        xi, xj = x + ei * w1, x + ej * w2
+        xij = xi + xj - x + ei * ej * (c[1] * w1 + c[0] * w2)
+        self._check_against_reference((x, xi, xj, xij), ei, ej)
+
+    def test_first_failing_quad_is_named(self, rng):
+        x, w1, w2 = rng.normal(size=(3, 5, 3))
+        xi, xj = x + w1, x + w2
+        xij = xi + xj - x
+        collinear, nonplanar = xj.copy(), xij.copy()
+        collinear[1] = x[1] + 2.0 * w1[1]
+        nonplanar[3] += np.cross(w1[3], w2[3])
+        with pytest.raises(DegenerateEdges) as err:
+            extract_rotation_coeffs(x, xi, collinear, nonplanar, 1.0, 1.0)
+        assert err.value.row == 1
+        collinear, nonplanar = xj.copy(), xij.copy()
+        collinear[3] = x[3] + 2.0 * w1[3]
+        nonplanar[1] += np.cross(w1[1], w2[1])
+        with pytest.raises(NonPlanarQuad) as err:
+            extract_rotation_coeffs(x, xi, collinear, nonplanar, 1.0, 1.0)
+        assert err.value.row == 1
 
 
 class TestConsistency:

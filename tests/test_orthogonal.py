@@ -25,7 +25,8 @@ from dlame.orthogonal import (
     csurface_solve,
     double_ribaucour_net,
     enveloping_residual,
-    frame_to_point,
+    frame_points,
+    iterated_ribaucour_net,
     lame_residuals,
     normal_factor,
     orthosys_assemble,
@@ -339,10 +340,10 @@ class TestCSurface:
         assert np.max(np.abs(res.x[:, 0, :] - dc.points)) < 1e-10
 
     def test_frame_to_point_trivials(self):
-        assert np.allclose(frame_to_point(ALG2, ALG2.scalar(1.0)), np.zeros(2))
+        assert np.allclose(frame_points(ALG2, ALG2.scalar(1.0)), np.zeros(2))
         t = np.array([0.7, -0.2])
         psi = suited_frame(ALG2, t, [np.array([1.0, 0]), np.array([0.0, 1])])
-        assert np.allclose(frame_to_point(ALG2, psi), t)
+        assert np.allclose(frame_points(ALG2, psi), t)
 
     def test_splitting_and_orthogonality_limits(self):
         # the discrete difference quotients of the rotation coefficients
@@ -561,6 +562,19 @@ class TestRibaucourPair3D:
 
 
 class TestPermutability:
+    def test_single_transform_matches_pair_solve(self):
+        # k = 1: the conjugate propagation of one transform reproduces the
+        # curve/transform frame solve it was built from
+        curve = warped_circle_curve(1.0, 0.3)
+        alpha, seed = (lambda t: -1.0 + 0.2 * np.sin(t)), np.array([0.55, 0.0])
+        eps, r = np.pi / 40, 8 * np.pi / 40
+        x = iterated_ribaucour_net(ALG2, curve, [alpha], [seed], (), eps, r)
+        pair = ribaucour_solve(ALG2, curve, alpha, seed, eps, r + eps)
+        n = x.shape[0]
+        assert x.shape == (9, 2, 2)
+        assert np.max(np.abs(x[:, 0] - pair.base[:n])) < 1e-13
+        assert np.max(np.abs(x[:, 1] - pair.transform[:n])) < 1e-13
+
     def test_double_transform_concircular(self):
         curve = warped_circle_curve(1.0, 0.3)
         x = double_ribaucour_net(
