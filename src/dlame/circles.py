@@ -73,13 +73,20 @@ def circumcircle(a, b, c):
     return center, radius, basis
 
 
-def point_on_circumcircle(a, b, c, angle: float) -> np.ndarray:
-    """Point at the given angle parameter on the circle through a, b, c."""
+def point_on_circumcircle(a, b, c, angle) -> np.ndarray:
+    """Point at the given angle parameter on the circle through a, b, c.
+
+    The angle is measured from a.  The points are (..., N) arrays and angle a
+    (...) array, all broadcasting as in `circumcircle`; the result is
+    (..., N).
+    """
     center, radius, basis = circumcircle(a, b, c)
     start = np.asarray(a, dtype=float) - center
-    e1 = start / np.linalg.norm(start)
-    e2 = basis @ np.array([-(basis.T @ e1)[1], (basis.T @ e1)[0]])
-    return center + radius * (np.cos(angle) * e1 + np.sin(angle) * e2)
+    e1 = start / np.sqrt(start[..., None, :] @ start[..., :, None])[..., 0]
+    t = (np.swapaxes(basis, -1, -2) @ e1[..., None])[..., 0]     # e1 in the plane basis
+    e2 = (basis @ np.stack([-t[..., 1], t[..., 0]], axis=-1)[..., None])[..., 0]
+    angle = np.asarray(angle, dtype=float)[..., None]
+    return center + np.asarray(radius)[..., None] * (np.cos(angle) * e1 + np.sin(angle) * e2)
 
 
 def miquel_eighth_vertex(x, x1, x2, x3, x12, x13, x23) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -68,13 +69,19 @@ class _BlockPlan(NamedTuple):
 
     block: np.ndarray          # (ntrip, 9): the 3x3 sub-matrix of each triple
     coeffs: np.ndarray         # (ntrip, 4, 6): c_ab, c_kb, c_ak, c_ka of every block row (a, b, k)
-    eps_a: np.ndarray          # (ntrip, 6): direction index of eps_a / eps_b
-    eps_b: np.ndarray
+    cidx: np.ndarray           # (ntrip, 18): block entry = _BASE + _SIGN * eps[eidx] * c[cidx]
+    eidx: np.ndarray
     tail_trip: np.ndarray      # per tail factor: triple position, c_{d,i}, c_{d,j}
     tail_i: np.ndarray
     tail_j: np.ndarray
     tail_msg: tuple[str, ...]
     keys: tuple[tuple[int, int, int], ...]
+
+
+# the diagonal, (b, k, a) and (b, a, k) entries of a block row (a, b, k) are
+# 1 + eps_a c_ab, -eps_b c_kb and -eps_b c_ab
+_BASE = np.repeat([1.0, 0.0, 0.0], 6)
+_SIGN = np.repeat([1.0, -1.0, -1.0], 6)
 
 
 @functools.lru_cache(maxsize=None)
@@ -90,12 +97,13 @@ def _block_plan(M: int, triples: tuple, tail_dirs: tuple) -> _BlockPlan:
                 tail_j.append(d * M + j)
                 tail_msg.append(f"transform block {trip} is inadmissible: (1+c[{d},i]) factors vanish")
     keys = tuple((trip[p[0]], trip[p[2]], trip[p[1]]) for trip in triples for p in _PERMS)
+    coeffs = np.stack([T[:, p] * M + T[:, q] for p, q in
+                       ((_ROW_A, _ROW_B), (_ROW_K, _ROW_B), (_ROW_A, _ROW_K), (_ROW_K, _ROW_A))], axis=1)
     return _BlockPlan(
         block=(T[:, :, None] * M + T[:, None, :]).reshape(len(triples), 9),
-        coeffs=np.stack([T[:, p] * M + T[:, q] for p, q in
-                         ((_ROW_A, _ROW_B), (_ROW_K, _ROW_B), (_ROW_A, _ROW_K), (_ROW_K, _ROW_A))], axis=1),
-        eps_a=T[:, _ROW_A],
-        eps_b=T[:, _ROW_B],
+        coeffs=coeffs,
+        cidx=np.concatenate([coeffs[:, 0], coeffs[:, 1], coeffs[:, 0]], axis=-1),
+        eidx=np.concatenate([T[:, _ROW_A], T[:, _ROW_B], T[:, _ROW_B]], axis=-1),
         tail_trip=np.array(tail_trip, dtype=int),
         tail_i=np.array(tail_i, dtype=int),
         tail_j=np.array(tail_j, dtype=int),
@@ -108,9 +116,11 @@ def dcn_step_c(c: np.ndarray, eps, triple=None, tail_dirs=()) -> dict:
     """Solve the implicit blocks for the difference quotients delta_a c_cb.
 
     c is an (..., M, M) array of rotation coefficients at the cube corner
-    (diagonal ignored, 0-based) with any leading batch axes.  `triple` selects
-    one unordered index triple, a list of them, or all (None); the blocks of
-    every batch entry are assembled and factored as one stacked batch.
+    (diagonal ignored, 0-based) with any leading batch axes, and eps the mesh
+    sizes, (M,) or (..., M) per batch entry; the two broadcast.  `triple`
+    selects one unordered index triple, a list of them, or all (None); the
+    blocks of every batch entry are assembled and factored as one stacked
+    batch.
     Returns {(a, b, c): delta_a c_bc} with values over the batch axes,
     covering every ordered pair inside the requested triple(s).  Raises
     DegenerateHexahedron, carrying the first offending batch row, when a
@@ -127,14 +137,16 @@ def dcn_step_c(c: np.ndarray, eps, triple=None, tail_dirs=()) -> dict:
         triples = triple
     triples = tuple(tuple(sorted(int(i) for i in t)) for t in triples)
     plan = _block_plan(M, triples, tuple(int(d) for d in tail_dirs))
+    e = np.asarray(eps, dtype=float)
     batch = c.shape[:-2]
+    if e.shape[:-1] not in ((), batch):
+        batch = np.broadcast_shapes(batch, e.shape[:-1])
+        c = np.broadcast_to(c, batch + (M, M))
     ntrip = len(triples)
     cf = c.reshape(batch + (M * M,))
-    e = np.asarray(eps, dtype=float)
     g = cf[..., plan.coeffs]
     cab, ckb, cak, cka = g[..., 0, :], g[..., 1, :], g[..., 2, :], g[..., 3, :]
-    eb = e[plan.eps_b]
-    entries = np.concatenate([1.0 + e[plan.eps_a] * cab, 0.0 - eb * ckb, 0.0 - eb * cab], axis=-1)
+    entries = _BASE + _SIGN * e[..., plan.eidx] * cf[..., plan.cidx]
     A = np.zeros(batch + (ntrip, 36))
     A[..., _ENTRIES] = entries
     A = A.reshape(batch + (ntrip, 6, 6))
@@ -227,46 +239,65 @@ class ConjugateSystem(HyperbolicSystem):
 
 @dataclass
 class CornerState:
-    """Values of (x, w, c) attached to one lattice vertex."""
+    """Values of (x, w, c) attached to one lattice vertex, or to a batch of
+    vertices along leading axes that the three arrays share."""
 
-    x: np.ndarray          # (N,)
-    w: np.ndarray          # (M, N); rows that are unknown hold nan
-    c: np.ndarray          # (M, M); diagonal and unknown entries hold nan
+    x: np.ndarray          # (..., N)
+    w: np.ndarray          # (..., M, N); rows that are unknown hold nan
+    c: np.ndarray          # (..., M, M); diagonal and unknown entries hold nan
 
     @property
     def M(self) -> int:
-        return self.w.shape[0]
+        return self.w.shape[-2]
 
     def copy(self) -> "CornerState":
         return CornerState(self.x.copy(), self.w.copy(), self.c.copy())
 
 
-def shift_state(state: CornerState, direction: int, eps, tail_dirs=(), delta=None) -> CornerState:
+def _entries(v: np.ndarray, k: int):
+    """Flat index of every entry over v's batch axes (all but its last k), and
+    v with those axes flattened, so that v_flat[idx, a] picks v[..., a, ...]
+    per entry with idx and a broadcast against each other."""
+    lead = v.shape[:v.ndim - k]
+    return np.arange(math.prod(lead)).reshape(lead), v.reshape((-1,) + v.shape[v.ndim - k:])
+
+
+def shift_state(state: CornerState, direction, eps, tail_dirs=(), delta=None) -> CornerState:
     """Advance a corner state by one lattice step; entries that would need
     fresh Goursat data become nan.
 
-    `delta` may carry the output of an earlier `dcn_step_c` call on the same
-    state over the triples whose coefficients are all known (`_corner_blocks`),
-    so callers that shift one corner in several directions solve each block
-    once; the step then updates exactly the pairs that output covers.
+    `direction` is an int or an int array that broadcasts against the batch
+    axes of the state and of eps ((M,) or (..., M)); the result carries the
+    broadcast batch shape, each entry stepped in its own direction.  Without
+    `delta` the blocks of every triple that contains a requested direction
+    and whose coefficients are known in every batch entry are solved here.
+    `delta` may instead carry the output of an earlier `dcn_step_c` call on
+    the same state (`_corner_blocks`), so callers that shift one corner in
+    several directions solve each block once; the step then updates exactly
+    the pairs that output covers.
     """
-    a = direction
-    x = state.x + eps[a] * state.w[a]
-    w = state.w + eps[a] * (state.c[:, a, None] * state.w[a] + state.c[a, :, None] * state.w)
-    w[a] = np.nan
-    c = np.full_like(state.c, np.nan)
-    pairs = itertools.combinations(range(state.M), 2)
+    M = state.M
+    a = np.asarray(direction)
+    ie, ef = _entries(np.asarray(eps, dtype=float), 1)
+    iw, wf = _entries(state.w, 2)
+    ic, cf = _entries(state.c, 2)
+    ea = ef[ie, a][..., None]
+    wa = wf[iw, a]
+    x = state.x + ea * wa
+    w = state.w + ea[..., None] * (cf[ic, :, a][..., None] * wa[..., None, :] + cf[ic, a][..., None] * state.w)
+    w = np.where(np.arange(M)[:, None] == a[..., None, None], np.nan, w)
     if delta is None:
-        known = _known_triples(state.c)
-        pairs = [(p, q) for p, q in pairs if a not in (p, q) and tuple(sorted((a, p, q))) in known]
-        if pairs:
-            delta = dcn_step_c(state.c, eps, triple=[(a, p, q) for p, q in pairs],
-                               tail_dirs=tail_dirs)
-    else:
-        pairs = [(p, q) for p, q in pairs if (a, p, q) in delta]
-    for p, q in pairs:
-        c[p, q] = state.c[p, q] + eps[a] * delta[(a, p, q)]
-        c[q, p] = state.c[q, p] + eps[a] * delta[(a, q, p)]
+        dirs = set(np.ravel(a).tolist())
+        triples = [t for t in sorted(_known_triples(state.c)) if dirs & set(t)]
+        delta = dcn_step_c(state.c, eps, triple=triples, tail_dirs=tail_dirs) if triples else {}
+    # delta_i c_pq on a dense (i, p, q) grid over the batch entries of delta,
+    # nan where no block covers it
+    shape = np.shape(next(iter(delta.values()), 0.0))
+    D = np.full((M * M * M,) + shape, np.nan)
+    if delta:
+        D[[(i * M + p) * M + q for i, p, q in delta]] = np.array(list(delta.values()))
+    iD = np.arange(math.prod(shape)).reshape(shape)
+    c = state.c + ea[..., None] * D.reshape(M, M, M, -1)[a, :, :, iD]
     return CornerState(x, w, c)
 
 
@@ -280,41 +311,65 @@ def hexahedron_algebraic(state: CornerState, eps) -> np.ndarray:
     return s.x
 
 
+# the two other directions of each lead direction of a hexahedron, and the
+# index cycles of a cross product
+_FACE_U = np.array([1, 0, 0])
+_FACE_V = np.array([2, 2, 1])
+_CYC1 = np.array([1, 2, 0])
+_CYC2 = np.array([2, 0, 1])
+
+
 def elementary_hexahedron(state: CornerState, eps) -> np.ndarray:
     """Far vertex as the intersection point of the three shifted face planes.
 
     Works in any ambient dimension by solving inside the three-space spanned
-    by the corner edges.
+    by the corner edges.  The state may carry batch axes and eps may be (3,)
+    or (..., 3) over them; the far vertices come back as (..., N) from one
+    stacked QR, one block solve, one shift in all three directions and one
+    stacked 3x3 solve.  Raises DegenerateHexahedron, carrying the first
+    offending batch row, when the edges do not span a three-space, an
+    implicit block is singular, a shifted face plane degenerates or the
+    planes are parallel.
     """
     if state.M != 3:
         raise ValueError("elementary hexahedron needs exactly three directions")
-    basis, rdiag = np.linalg.qr(state.w.T)  # (N, 3) orthonormal span of the edges
-    edge_scale = float(np.max(np.abs(rdiag)))
-    if np.min(np.abs(np.diagonal(rdiag))) < 1e-10 * max(1.0, edge_scale):
-        raise DegenerateHexahedron("corner edges do not span a three-space")
-    delta = _corner_blocks(state, eps)
-    shifted = [shift_state(state, a, eps, delta=delta) for a in range(3)]
-    A = np.zeros((3, 3))
-    rhs = np.zeros(3)
-    for a in range(3):
-        jj, kk = [d for d in range(3) if d != a]
-        u = (basis.T @ shifted[a].w[jj]).tolist()
-        v = (basis.T @ shifted[a].w[kk]).tolist()
-        normal3 = np.array([
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        ])
-        norm = np.linalg.norm(normal3)
-        if norm < 1e-300:
-            raise DegenerateHexahedron("shifted face plane is degenerate")
-        A[a] = normal3 / norm
-        rhs[a] = A[a] @ (basis.T @ (shifted[a].x - state.x))
-    scale = max(1.0, float(np.max(np.abs(A))))
-    if abs(np.linalg.det(A)) < TOL.degeneracy * scale**3:
-        raise DegenerateHexahedron("face planes are (nearly) parallel")
-    y = np.linalg.solve(A, rhs)
-    return state.x + basis @ y
+    # every entry gets a unit axis, which the shift broadcasts to its three lead directions
+    corner = CornerState(state.x[..., None, :], state.w[..., None, :, :], state.c[..., None, :, :])
+    e = np.asarray(eps, dtype=float)[..., None, :]
+    basis, rdiag = np.linalg.qr(np.swapaxes(corner.w, -1, -2))  # (..., 1, N, 3): span of the edges
+    rabs = np.abs(rdiag)
+    edge_scale = np.maximum(1.0, np.max(rabs, axis=(-2, -1)))
+    flat = np.min(np.diagonal(rabs, axis1=-2, axis2=-1), axis=-1) < 1e-10 * edge_scale
+    try:
+        raise_first([(flat, lambda row: DegenerateHexahedron("corner edges do not span a three-space"))])
+        delta = _corner_blocks(corner, e)
+    except DegenerateHexahedron as err:
+        if err.row:
+            # an earlier entry may fail a later gate, which a per-entry loop meets first
+            def head(v, k):
+                return v.reshape((-1,) + v.shape[v.ndim - k:])[:err.row]
+            elementary_hexahedron(CornerState(head(corner.x, 1), head(corner.w, 2), head(corner.c, 2)),
+                                  head(np.broadcast_to(e, corner.x.shape[:-1] + (3,)), 1))
+        raise
+    shifted = shift_state(corner, np.arange(3), e, delta=delta)      # batch (..., lead)
+    # lead a's face plane holds its shifted corner and its two other shifted edges;
+    # products keep matrix-vector shapes, so each entry gets a single corner's arithmetic
+    bt = np.swapaxes(basis, -1, -2)                                   # (..., 1, 3, N)
+    u = (bt @ shifted.w[..., np.arange(3), _FACE_U, :, None])[..., 0]  # (..., lead, 3)
+    v = (bt @ shifted.w[..., np.arange(3), _FACE_V, :, None])[..., 0]
+    normal = u[..., _CYC1] * v[..., _CYC2] - u[..., _CYC2] * v[..., _CYC1]
+    norm = np.sqrt(normal[..., None, :] @ normal[..., :, None])[..., 0]
+    A = normal / np.maximum(norm, 1e-300)
+    rhs = A[..., None, :] @ (bt @ (shifted.x - corner.x)[..., None])
+    scale = np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
+    raise_first([
+        ((norm < 1e-300).any(axis=(-2, -1)),
+         lambda row: DegenerateHexahedron("shifted face plane is degenerate")),
+        (np.abs(np.linalg.det(A)) < TOL.degeneracy * scale**3,
+         lambda row: DegenerateHexahedron("face planes are (nearly) parallel")),
+    ])
+    y = np.linalg.solve(A, rhs[..., 0])
+    return corner.x[..., 0, :] + (basis[..., 0, :, :] @ y)[..., 0]
 
 
 def extract_rotation_coeffs(x, xi, xj, xij, eps_i: float, eps_j: float):
@@ -374,8 +429,9 @@ def solve_conjugate_net(
 
 
 def _known_triples(c: np.ndarray) -> set:
-    """Sorted index triples whose six off-diagonal coefficients are all known."""
-    known = (~np.isnan(c)).tolist()
+    """Sorted index triples whose six off-diagonal coefficients are known in
+    every batch entry of c (..., M, M)."""
+    known = np.all(~np.isnan(c), axis=tuple(range(c.ndim - 2))).tolist()
     return {
         t for t in itertools.combinations(range(len(known)), 3)
         if all(known[p][q] for p, q in itertools.permutations(t, 2))
@@ -388,20 +444,28 @@ def _corner_blocks(state: CornerState, eps) -> dict:
     return dcn_step_c(state.c, eps, triple=triples) if triples else {}
 
 
+# the three other directions of each lead direction of a 4-cube, and the
+# pairs of leads whose far vertices are compared
+_REST = np.array([[d for d in range(4) if d != lead] for lead in range(4)])
+_LEAD_I, _LEAD_J = np.triu_indices(4, 1)
+
+
 def check_4d_consistency(state: CornerState, eps) -> float:
-    """Max pairwise distance between the four constructions of the 4-cube far vertex."""
+    """Max pairwise distance between the four constructions of the 4-cube far vertex.
+
+    The corner (a single one) is shifted in all four lead directions at once
+    and the four 3-direction sub-corners are closed by one batched
+    elementary_hexahedron call; an error names the failing lead as its row.
+    """
     if state.M != 4:
         raise ValueError("the consistency check runs on four directions")
-    delta = _corner_blocks(state, eps)
-    far = []
-    for lead in range(4):
-        s = shift_state(state, lead, eps, delta=delta)
-        rest = [d for d in range(4) if d != lead]
-        sub = CornerState(s.x, s.w[rest], s.c[rest][:, rest])
-        far.append(elementary_hexahedron(sub, [eps[d] for d in rest]))
-    far = np.array(far)
-    dists = [np.linalg.norm(a - b) for a, b in itertools.combinations(far, 2)]
-    return float(max(dists))
+    leads = np.arange(4)
+    s = shift_state(state, leads, eps, delta=_corner_blocks(state, eps))
+    sub = CornerState(s.x, s.w[leads[:, None], _REST],
+                      s.c[leads[:, None, None], _REST[:, :, None], _REST[:, None, :]])
+    far = elementary_hexahedron(sub, np.asarray(eps, dtype=float)[_REST])
+    gap = far[_LEAD_I] - far[_LEAD_J]
+    return float(np.sqrt(np.max(gap[:, None, :] @ gap[:, :, None])))
 
 
 def coplanarity_residual(points: np.ndarray) -> float:

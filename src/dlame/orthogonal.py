@@ -766,8 +766,7 @@ def iterated_ribaucour_net(
     corner_pairs = list(itertools.combinations(range(k), 2))
     if corner_pairs:
         first, second = np.array(corner_pairs).T
-        corners = np.array([point_on_circumcircle(x0, seeds[a], seeds[b], angle)
-                            for (a, b), angle in zip(corner_pairs, corner_angles)])
+        corners = point_on_circumcircle(x0, seeds[first], seeds[second], corner_angles)
         c_ab, c_ba = extract_rotation_coeffs(x0, seeds[first], seeds[second], corners, 1.0, 1.0)
         for (a, b), cab, cba in zip(corner_pairs, c_ab, c_ba):
             c_in[(a + 1, b + 1)], c_in[(b + 1, a + 1)] = cab, cba

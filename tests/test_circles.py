@@ -74,6 +74,17 @@ class TestCircumcircle:
             assert abs(np.linalg.norm(p - center) - radius) < 1e-12 * (1 + radius)
 
 
+    def test_batched_points_match_per_corner_calls(self, rng):
+        a, b, c = rng.normal(size=(3, 4, 5, 3))
+        angle = rng.uniform(0, 2 * np.pi, (4, 5))
+        p = point_on_circumcircle(a, b, c, angle)
+        assert p.shape == (4, 5, 3)
+        tol = 8 * np.finfo(float).eps
+        for idx in np.ndindex(4, 5):
+            single = point_on_circumcircle(a[idx], b[idx], c[idx], angle[idx])
+            assert np.max(np.abs(p[idx] - single)) <= tol * (1 + np.max(np.abs(single)))
+
+
 class TestMiquel:
     def _circular_hexahedron(self, rng):
         x = rng.normal(size=3)

@@ -17,6 +17,7 @@ from dlame.conjugate import (
     extract_rotation_coeffs,
     hexahedron_algebraic,
     net_planarity_residual,
+    shift_state,
     solve_conjugate_net,
 )
 from dlame.errors import DegenerateEdges, DegenerateHexahedron, NonPlanarQuad
@@ -30,6 +31,40 @@ def random_corner(rng, M=3, N=3, cmax=0.2):
     c = rng.uniform(-cmax, cmax, (M, M))
     np.fill_diagonal(c, 0.0)
     return CornerState(rng.normal(size=N), w, c)
+
+
+def stack_corners(corners):
+    return CornerState(*(np.stack([getattr(s, f) for s in corners]) for f in ("x", "w", "c")))
+
+
+def reference_hexahedron(state, eps):
+    """Single-corner face-plane intersection of elementary_hexahedron before
+    it was batched, with its edge-span gate."""
+    basis, rdiag = np.linalg.qr(state.w.T)
+    if np.min(np.abs(np.diagonal(rdiag))) < 1e-10 * max(1.0, float(np.max(np.abs(rdiag)))):
+        raise DegenerateHexahedron("corner edges do not span a three-space")
+    delta = conjugate._corner_blocks(state, eps)
+    A = np.zeros((3, 3))
+    rhs = np.zeros(3)
+    for a in range(3):
+        s = shift_state(state, a, eps, delta=delta)
+        jj, kk = [d for d in range(3) if d != a]
+        normal = np.cross(basis.T @ s.w[jj], basis.T @ s.w[kk])
+        A[a] = normal / np.linalg.norm(normal)
+        rhs[a] = A[a] @ (basis.T @ (s.x - state.x))
+    return state.x + basis @ np.linalg.solve(A, rhs)
+
+
+def reference_far_vertices(state, eps):
+    """The per-lead loop of check_4d_consistency before it was batched."""
+    delta = conjugate._corner_blocks(state, eps)
+    far = []
+    for lead in range(4):
+        s = shift_state(state, lead, eps, delta=delta)
+        rest = [d for d in range(4) if d != lead]
+        sub = CornerState(s.x, s.w[rest], s.c[rest][:, rest])
+        far.append(reference_hexahedron(sub, [eps[d] for d in rest]))
+    return np.array(far)
 
 
 def random_cvals(rng, M=3, cmax=0.2):
@@ -120,6 +155,21 @@ class TestBlockSolve:
             assert all(np.array_equal(batch[k][r], v) for k, v in single.items())
 
 
+    def test_per_entry_mesh_sizes_match_single_calls(self, rng):
+        c = rng.uniform(-0.3, 0.3, (2, 3, 4, 4))
+        eps = rng.uniform(0.1, 1.0, (2, 3, 4))
+        eps[..., 3] = 1.0
+        batch = dcn_step_c(c, eps, tail_dirs=(3,))
+        for idx in np.ndindex(2, 3):
+            single = dcn_step_c(c[idx], eps[idx], tail_dirs=(3,))
+            assert all(np.array_equal(batch[k][idx], single[k]) for k in single)
+        # one corner under three sets of mesh sizes
+        shared = dcn_step_c(c[0, 0], eps[0])
+        for r in range(3):
+            single = dcn_step_c(c[0, 0], eps[0, r])
+            assert all(np.array_equal(shared[k][r], single[k]) for k in single)
+
+
 class TestHexahedron:
     def test_flat_cube(self):
         st = CornerState(np.zeros(3), np.eye(3), np.zeros((3, 3)))
@@ -154,6 +204,62 @@ class TestHexahedron:
         st.w[2] = st.w[0]  # edges span a plane only
         with pytest.raises(DegenerateHexahedron):
             elementary_hexahedron(st, (1.0, 1.0, 1.0))
+
+
+class TestBatchedCorners:
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.sampled_from([3, 4]), st.sampled_from([3, 4]))
+    def test_stacked_corners_match_single_corners(self, K, seed, M, N):
+        rng = np.random.default_rng(seed)
+        corners = [random_corner(rng, M=M, N=N) for _ in range(K)]
+        stacked = stack_corners(corners)
+        eps = rng.uniform(0.2, 1.0, (K, M))
+
+        def same(batch, single):
+            return all(np.array_equal(getattr(batch, f), getattr(single, f), equal_nan=True)
+                       for f in ("x", "w", "c"))
+
+        # one direction per entry, blocks solved inside the step
+        dirs = rng.integers(0, M, K)
+        batch = shift_state(stacked, dirs, eps)
+        for k, s in enumerate(corners):
+            assert same(CornerState(batch.x[k], batch.w[k], batch.c[k]), shift_state(s, int(dirs[k]), eps[k]))
+        # every direction at once, from blocks solved once per corner
+        batch = shift_state(stacked, np.arange(M)[:, None], eps, delta=conjugate._corner_blocks(stacked, eps))
+        assert batch.x.shape == (M, K, N)
+        for k, s in enumerate(corners):
+            delta = conjugate._corner_blocks(s, eps[k])
+            for a in range(M):
+                single = shift_state(s, a, eps[k], delta=delta)
+                assert same(CornerState(batch.x[a, k], batch.w[a, k], batch.c[a, k]), single)
+        # three-direction corners closed by one hexahedron call
+        far = elementary_hexahedron(CornerState(stacked.x, stacked.w[:, :3], stacked.c[:, :3, :3]), eps[:, :3])
+        for k, s in enumerate(corners):
+            single = elementary_hexahedron(CornerState(s.x, s.w[:3], s.c[:3, :3]), eps[k, :3])
+            assert np.array_equal(far[k], single)
+
+    def test_single_corner_matches_reference(self, rng):
+        for eps in ((1.0, 1.0, 1.0), (1.0, 0.5, 0.8)):
+            for _ in range(50):
+                s = random_corner(rng)
+                ref = reference_hexahedron(s, eps)
+                scale = max(1.0, float(np.max(np.abs(ref))))
+                assert np.max(np.abs(elementary_hexahedron(s, eps) - ref)) <= 64 * np.finfo(float).eps * scale
+
+    def test_earlier_entry_failing_a_later_gate_wins(self, rng):
+        # a singular implicit block (every c_ij = 1 at unit mesh size) is met
+        # after the edge-span gate, yet a per-entry loop meets it first when
+        # its entry comes first
+        good, singular, flat = random_corner(rng), random_corner(rng), random_corner(rng)
+        singular.c[:] = 1.0
+        flat.w[2] = flat.w[0]
+        eps = (1.0, 1.0, 1.0)
+        with pytest.raises(DegenerateHexahedron, match="is singular") as err:
+            elementary_hexahedron(stack_corners([good, singular, flat]), eps)
+        assert err.value.row == 1
+        with pytest.raises(DegenerateHexahedron, match="three-space") as err:
+            elementary_hexahedron(stack_corners([good, flat, singular]), eps)
+        assert err.value.row == 1
 
 
 class TestExtractRotationCoeffs:
@@ -264,7 +370,7 @@ class TestConsistency:
         assert worst < 1e-9
 
     def test_corner_blocks_are_solved_once(self, rng, monkeypatch):
-        # one call for the four triples of the corner, one per shifted cube
+        # one call for the four triples of the corner, one for the four shifted cubes
         calls = []
 
         def counting(c, eps, triple=None, tail_dirs=()):
@@ -274,11 +380,50 @@ class TestConsistency:
 
         monkeypatch.setattr(conjugate, "dcn_step_c", counting)
         check_4d_consistency(random_corner(rng, M=4), (1.0,) * 4)
-        assert calls == [4, 1, 1, 1, 1]
+        assert calls == [4, 1]
 
     def test_zero_coefficients_close_exactly(self, rng):
         st = random_corner(rng, M=4, cmax=0.0)
         assert check_4d_consistency(st, (1.0,) * 4) < 1e-14
+
+    @pytest.mark.parametrize("eps", [(1.0, 1.0, 1.0, 1.0), (1.0, 0.5, 0.25, 0.8)])
+    def test_matches_per_lead_loop(self, rng, monkeypatch, eps):
+        far = []
+
+        def recording(state, eps):
+            far.append(elementary_hexahedron(state, eps))
+            return far[-1]
+
+        monkeypatch.setattr(conjugate, "elementary_hexahedron", recording)
+        for _ in range(50):
+            st = random_corner(rng, M=4)
+            residual = check_4d_consistency(st, eps)
+            ref = reference_far_vertices(st, eps)
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(far[-1] - ref)) <= 64 * np.finfo(float).eps * scale
+            gaps = [np.linalg.norm(a - b) for a, b in itertools.combinations(ref, 2)]
+            assert abs(residual - max(gaps)) <= 64 * np.finfo(float).eps * scale
+
+    def test_first_failing_lead_is_named(self, rng):
+        st = random_corner(rng, M=4, cmax=0.0)
+        st.w[3] = st.w[0] + st.w[1]  # only lead 2's cube, directions (0, 1, 3), is flat
+        eps = (1.0,) * 4
+        delta = conjugate._corner_blocks(st, eps)
+        subs = []
+        for lead in range(4):
+            s = shift_state(st, lead, eps, delta=delta)
+            rest = [d for d in range(4) if d != lead]
+            subs.append(CornerState(s.x, s.w[rest], s.c[rest][:, rest]))
+        for lead in (0, 1, 3):
+            elementary_hexahedron(subs[lead], eps[:3])
+        with pytest.raises(DegenerateHexahedron, match="three-space") as err:
+            elementary_hexahedron(stack_corners(subs), eps[:3])
+        assert err.value.row == 2
+        with pytest.raises(DegenerateHexahedron):
+            reference_far_vertices(st, eps)
+        with pytest.raises(DegenerateHexahedron, match="three-space") as err:
+            check_4d_consistency(st, eps)
+        assert err.value.row == 2
 
 
 class TestGoursatNets:
