@@ -159,5 +159,5 @@ def run_sweep(kind: str, oracle, eps_list, r, l_max=1, stagger=False, **kwargs) 
     if kind == "csurface":
         return csurface_sweep(oracle, eps_list, r, l_max=l_max, stagger=stagger)
     if kind == "orthosys":
-        return orthosys_sweep(oracle, eps_list, r, l_max=min(l_max, 1))
+        return orthosys_sweep(oracle, eps_list, r, l_max=l_max)
     raise ValueError(f"unknown sweep kind {kind!r}")

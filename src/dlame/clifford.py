@@ -18,7 +18,9 @@ Euclidean points x embed on the light cone through the normalized section
                                              einf = (e_{N+2}-e_{N+1})/2,
 
 and Euclidean motions are adjoint actions psi^{-1} v psi of even products of
-unit spacelike vectors orthogonal to einf.
+unit spacelike vectors orthogonal to einf.  This module is the reference model
+of those frames; `Algebra.frame_matrix` turns a frame into the Lorentz matrix of
+its adjoint action, the form the solver stores and steps.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ __all__ = [
     "Algebra",
     "algebra",
 ]
-
-
-# left factors per gathered multiplication table in one einsum call
-_TABLE_ROWS = 256
 
 
 def _reorder_sign(a: int, b: int) -> int:
@@ -125,17 +123,7 @@ class Algebra:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if self._left_idx is not None:
-            if a.size <= _TABLE_ROWS * self.size:
-                return self._table_product(a, b)
-            # a long batch of left factors goes in chunks, bounding the
-            # gathered (rows, size, size) tables
-            shape = np.broadcast_shapes(a.shape, b.shape)
-            a = np.broadcast_to(a, shape).reshape(-1, self.size)
-            b = np.broadcast_to(b, shape).reshape(-1, self.size)
-            out = np.empty(a.shape)
-            for s in range(0, len(a), _TABLE_ROWS):
-                out[s:s + _TABLE_ROWS] = self._table_product(a[s:s + _TABLE_ROWS], b[s:s + _TABLE_ROWS])
-            return out.reshape(shape)
+            return self._table_product(a, b)
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
         cols = np.arange(self.size)
         for blade in range(self.size):
@@ -205,6 +193,16 @@ class Algebra:
         if np.any(np.max(np.abs(rest), axis=-1) > 1e-9 * scale):
             raise NonVectorResult("adjoint action produced non-vector mass")
         return coords
+
+    def frame_matrix(self, psi: np.ndarray) -> np.ndarray:
+        """Lorentz matrix L(psi) in O(N+1,1) of the adjoint action, (..., size)
+        -> (..., dim, dim), so that adjoint(psi, v) == L @ v and L(-psi) == L(psi).
+
+        This is the bridge from the multivector model to the frames the solver
+        stores; the adjoint's non-vector mass check runs once per frame built.
+        """
+        images = self.adjoint(np.asarray(psi, dtype=float)[..., None, :], np.eye(self.dim))
+        return np.swapaxes(images, -1, -2)
 
     def reflect(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Closed form 2<u,v>u - v of the adjoint action of a unit vector u."""

@@ -15,8 +15,16 @@ obtained from a splitting of the circularity constraint:
   * transform splitting ("alpha"): rho_21 = eps a,
                                    rho_12 = N_1 b_12 + eps (N_2 b_21 - Theta - a),
 
-where Theta = (1/2) sum_{k notin {d1,d2}} beta_{k1} beta_{k2}.  Points are read
-off the frame as the Euclidean drop of psi^{-1} e0 psi.  Higher-dimensional
+where Theta = (1/2) sum_{k notin {d1,d2}} beta_{k1} beta_{k2}.
+
+The solver uses psi only through its adjoint action v -> psi^{-1} v psi, so it
+stores the Lorentz matrix L = L(psi) of that action (`Algebra.frame_matrix`),
+shape (..., N+2, N+2).  The frame step above becomes
+
+    L(tau_i psi) = L(psi) R_{e_{d_i}} R_{Sigma_i},   R_u v = 2<u, v> u - v,
+    Sigma_i = N_i e_{d_i} + (eps_i/2) sum_k beta_{ki} e_k - eps_i h_i einf,
+
+and points are read off as the Euclidean drop of L e0.  Higher-dimensional
 orthogonal systems are assembled from their coordinate surfaces and propagated
 as conjugate nets; concircularity of the bulk is then a theorem, not an
 imposed equation, and is verified a posteriori.
@@ -72,7 +80,8 @@ __all__ = [
 # -- frame stepping kernels ---------------------------------------------------
 #
 # Every kernel takes leading batch axes on its per-site arguments (h, beta,
-# n_fac, the splitting field and psi); mesh sizes and directions are shared.
+# n_fac, the splitting field and the frame L); mesh sizes and directions are
+# shared.
 
 
 def _normal_sq(eps: float, beta: np.ndarray, skip: int) -> np.ndarray:
@@ -106,31 +115,23 @@ def sigma_vector(alg: Algebra, d: int, eps: float, h, beta: np.ndarray, n_fac) -
     return u
 
 
-def frame_step_multiplier(alg: Algebra, d: int, eps: float, h, beta: np.ndarray, n_fac,
-                          biv: np.ndarray, einf_ed: np.ndarray) -> np.ndarray:
-    """Multivector G with tau psi = G psi, equal to -Sigma_i e_d as a product."""
-    G = -(eps / 2.0) * (np.asarray(beta, dtype=float) @ biv) \
-        + (eps * np.asarray(h, dtype=float))[..., None] * einf_ed
-    G[..., 0] += n_fac
-    return G
+def _step_factor(alg: Algebra, d: int, eps: float, h, beta: np.ndarray, n_fac) -> np.ndarray:
+    """Matrix R_{e_d} R_Sigma (..., dim, dim) of one frame step, L(tau psi) = L(psi) @ it.
 
-
-def _direction_tables(alg: Algebra, d: int):
-    """(bivector stack e_k e_d for k = 1..N with row d zeroed, einf e_d)."""
-    ed = alg.vector(alg.basis_vector(d))
-    biv = np.zeros((alg.n, alg.size))
-    for k in range(1, alg.n + 1):
-        if k == d:
-            continue
-        biv[k - 1] = alg.geometric_product(alg.vector(alg.basis_vector(k)), ed)
-    einf_ed = alg.geometric_product(alg.vector(alg.einf), ed)
-    return biv, einf_ed
+    R_u = 2 u (eta u)^T - 1 is the matrix of `Algebra.reflect(u, .)`; R_{e_d}
+    is diagonal, +1 in slot d and -1 elsewhere.
+    """
+    sig = sigma_vector(alg, d, eps, h, beta, n_fac)
+    r_ed = np.full(alg.dim, -1.0)
+    r_ed[d - 1] = 1.0
+    return 2.0 * (r_ed * sig)[..., :, None] * (alg._metric * sig)[..., None, :] - np.diag(r_ed)
 
 
 class FrameSurfaceSystem(HyperbolicSystem):
     """Hyperbolic form of the two-dimensional discrete orthogonal system.
 
-    Lattice direction a (0 or 1) carries the Clifford label dirs[a]; `split`
+    Lattice direction a (0 or 1) carries the Clifford label dirs[a]; `psi`
+    holds the frame as its Lorentz matrix L(psi), shape (dim, dim); `split`
     holds the gamma (surface) or alpha (transform) splitting field, static in
     both directions.
     """
@@ -143,12 +144,11 @@ class FrameSurfaceSystem(HyperbolicSystem):
         self.alg = alg
         self.dirs = tuple(dirs)
         self.splitting = splitting
-        self._tables = [_direction_tables(alg, d) for d in self.dirs]
         # coefficient slots outside both lattice directions
         self._rest = np.ones(alg.n, dtype=bool)
         self._rest[[d - 1 for d in self.dirs]] = False
         comps = [
-            Component("psi", (alg.size,), (), {0: ("psi", "h1", "b1"), 1: ("psi", "h2", "b2")}),
+            Component("psi", (alg.dim, alg.dim), (), {0: ("psi", "h1", "b1"), 1: ("psi", "h2", "b2")}),
             Component("h1", (), (0,), {1: ("h1", "h2", "b1", "b2", "split")}),
             Component("h2", (), (1,), {0: ("h1", "h2", "b1", "b2", "split")}),
             Component("b1", (alg.n,), (0,), {1: ("b1", "b2", "split")}),
@@ -207,8 +207,8 @@ class FrameSurfaceSystem(HyperbolicSystem):
             rho_ab, n_a = (rho12, n1) if a == 0 else (rho21, n2)
         if wanted("psi"):
             n_step = n_a if transport else normal_factor(ea, beta[a], da - 1)
-            G = frame_step_multiplier(self.alg, da, ea, h[a], beta[a], n_step, *self._tables[a])
-            out["psi"] = self.alg.geometric_product(G, np.asarray(vals["psi"], dtype=float))
+            out["psi"] = np.asarray(vals["psi"], dtype=float) @ _step_factor(
+                self.alg, da, ea, h[a], beta[a], n_step)
         if transport:
             hb, bb, ba = h[b], beta[b], beta[a]
             out[f"h{b + 1}"] = hb + ea * (rho_ab / (eb * n) * h[a] + (1.0 - n) / (ea * n) * hb)
@@ -267,10 +267,11 @@ def read_off_curve(
     """Integrate the orthonormal companion vectors along the curve and sample
     the metric coefficient h and the rotation coefficients beta_{k,direction}.
 
-    psi0 must be suited to the curve at t = 0 (it maps e0 to the lifted start
-    point and e_direction to the unit tangent).  Classical RK4 with per-step
-    re-orthonormalization keeps the read-off error well below the O(eps)
-    budget of the discretizations it feeds.
+    psi0, a frame matrix L(psi), must be suited to the curve at t = 0 (it maps
+    e0 to the lifted start point and e_direction to the unit tangent); its
+    other columns are the companion vectors at the start.  Classical RK4 with
+    per-step re-orthonormalization keeps the read-off error well below the
+    O(eps) budget of the discretizations it feeds.
     """
     samples = np.asarray(samples, dtype=float)
     d = direction
@@ -278,12 +279,13 @@ def read_off_curve(
 
     xhat0, dxhat0, _, h0, _ = _curve_lift(alg, curve, 0.0)
     vref = dxhat0 / h0
-    if np.max(np.abs(alg.adjoint(psi0, alg.e0) - xhat0)) > 1e-8 * (1 + np.abs(xhat0).max()):
+    psi0 = np.asarray(psi0, dtype=float)
+    if np.max(np.abs(psi0 @ alg.e0 - xhat0)) > 1e-8 * (1 + np.abs(xhat0).max()):
         raise DegenerateBasis("initial frame does not sit at the start of the curve")
-    if np.max(np.abs(alg.adjoint(psi0, alg.basis_vector(d)) - vref)) > 1e-8:
+    if np.max(np.abs(psi0[:, d - 1] - vref)) > 1e-8:
         raise DegenerateBasis("initial frame is not aligned with the curve tangent")
 
-    V = np.stack([alg.adjoint(psi0, alg.basis_vector(k)) for k in others])
+    V = psi0[:, [k - 1 for k in others]].T.copy()
 
     def tangent_data(t):
         xhat, dxhat, d2xhat, h, dh = _curve_lift(alg, curve, t)
@@ -350,7 +352,7 @@ class DiscreteCurve:
 
     eps: float
     points: np.ndarray    # (R+1, N)
-    frames: np.ndarray    # (R+1, size)
+    frames: np.ndarray    # (R+1, dim, dim) frame matrices
     data: CurveData
 
 
@@ -377,14 +379,12 @@ def canonical_discretization(
         data = read_off_curve(alg, curve, psi0, direction, t, substep=eps / 4.0)
     beta = data.beta[: npts - 1]
     n_fac = normal_factor(eps, beta, direction - 1)
-    G = frame_step_multiplier(alg, direction, eps, data.h[: npts - 1], beta, n_fac,
-                              *_direction_tables(alg, direction))
-    frames = np.zeros((npts, alg.size))
+    step = _step_factor(alg, direction, eps, data.h[: npts - 1], beta, n_fac)
+    frames = np.zeros((npts, alg.dim, alg.dim))
     frames[0] = psi0
     for s in range(npts - 1):
-        frames[s + 1] = alg.geometric_product(G[s], frames[s])
-    points = alg.drop_to_euclidean(alg.adjoint(frames, alg.e0))
-    return DiscreteCurve(eps, points, frames, data)
+        frames[s + 1] = frames[s] @ step[s]
+    return DiscreteCurve(eps, frame_points(alg, frames), frames, data)
 
 
 # -- two-dimensional solves ----------------------------------------------------
@@ -415,10 +415,6 @@ class CSurfaceResult:
     splitting: str
     fields: dict[str, LatticeField]
     x: np.ndarray           # (n1, n2, N)
-
-    @property
-    def psi(self) -> np.ndarray:
-        return self.fields["psi"].values
 
 
 def csurface_solve(data: CSurfaceData, request=None) -> CSurfaceResult:
@@ -454,8 +450,8 @@ def csurface_solve(data: CSurfaceData, request=None) -> CSurfaceResult:
 
 
 def frame_points(alg: Algebra, psi_values: np.ndarray) -> np.ndarray:
-    """Euclidean positions encoded by adapted frames (..., size) -> (..., N)."""
-    return alg.drop_to_euclidean(alg.adjoint(psi_values, alg.e0))
+    """Euclidean positions encoded by frame matrices (..., dim, dim) -> (..., N)."""
+    return alg.drop_to_euclidean(psi_values @ alg.e0)
 
 
 def quad_stack(x: np.ndarray, axis_i: int = 0, axis_j: int = 1) -> np.ndarray:
@@ -487,17 +483,16 @@ def lame_residuals(res: CSurfaceResult) -> dict[str, float]:
     rho12, rho21, nfac, N1, N2 = system.splitting_rhos({"b1": b1, "b2": b2, "split": split}, eps)
     sig1 = sigma_vector(alg, d1, eps[0], h1, b1, N1)
     sig2 = sigma_vector(alg, d2, eps[1], h2, b2, N2)
-    e1psi = alg.geometric_product(alg.vector(alg.basis_vector(d1)), psi)
-    e2psi = alg.geometric_product(alg.vector(alg.basis_vector(d2)), psi)
-    v1 = alg.adjoint(e1psi, sig1)
-    v2 = alg.adjoint(e2psi, sig2)
-    xhat = alg.adjoint(psi, alg.e0)
+    # vhat_i = (e_i psi)^{-1} Sigma_i (e_i psi)
+    v1 = (psi @ alg.reflect(alg.basis_vector(d1), sig1)[..., None])[..., 0]
+    v2 = (psi @ alg.reflect(alg.basis_vector(d2), sig2)[..., None])[..., 0]
+    xhat = psi @ alg.e0
 
     out = {}
-    out["pin_drift"] = float(np.max(np.abs(alg.adjoint(psi, alg.einf) - alg.einf)))
-    # frame residual tau_1 psi - G psi at every interior site
-    G = frame_step_multiplier(alg, d1, eps[0], h1[:-1], b1[:-1], N1[:-1], *system._tables[0])
-    out["frame_residual"] = float(np.max(np.abs(psi[1:] - alg.geometric_product(G, psi[:-1]))))
+    out["pin_drift"] = float(np.max(np.abs(psi @ alg.einf - alg.einf)))
+    # frame residual tau_1 L - L R_{e_d1} R_Sigma1 at every interior site
+    step = _step_factor(alg, d1, eps[0], h1[:-1], b1[:-1], N1[:-1])
+    out["frame_residual"] = float(np.max(np.abs(psi[1:] - psi[:-1] @ step)))
     # edge law tau_1 xhat = xhat + eps h1 v1
     out["edge_law"] = float(np.max(np.abs(xhat[1:] - (xhat + eps[0] * h1[..., None] * v1)[:-1])))
     out["edge_law_2"] = float(np.max(np.abs(xhat[:, 1:] - (xhat + eps[1] * h2[..., None] * v2)[:, :-1])))
@@ -516,10 +511,11 @@ def lame_residuals(res: CSurfaceResult) -> dict[str, float]:
 
 
 def suited_frame(alg: Algebra, x0: np.ndarray, tangents: list[np.ndarray], slots=None) -> np.ndarray:
-    """Frame at the Euclidean point x0 aligned with the given unit tangents."""
+    """Frame matrix L(psi) (dim, dim) at the Euclidean point x0 aligned with
+    the given unit tangents."""
     xhat = alg.lift_point(np.asarray(x0, dtype=float))
     basis = [alg.tangent_lift(x0, t) for t in tangents]
-    return alg.frame_from_adapted_basis(xhat, basis, slots=slots)
+    return alg.frame_matrix(alg.frame_from_adapted_basis(xhat, basis, slots=slots))
 
 
 @dataclass
@@ -640,7 +636,7 @@ def ribaucour_data(
     b2 = np.zeros(alg.n)
     n2_expect = None
     for k in range(1, alg.n + 1):
-        vk = alg.adjoint(psi0, alg.basis_vector(k))
+        vk = psi0[:, k - 1]
         if k == d2:
             n2_expect = float(alg.lorentz_dot(v2hat, vk))
             continue

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from dlame.orthogonal import suited_frame
-
 
 @pytest.fixture
 def rng():
@@ -15,12 +13,14 @@ def random_frame(alg, rng):
     Q, _ = np.linalg.qr(rng.normal(size=(alg.n, alg.n)))
     if np.linalg.det(Q) < 0:
         Q[:, -1] *= -1
-    return suited_frame(alg, x0, [Q[:, k] for k in range(alg.n)]), x0, Q
+    basis = [alg.tangent_lift(x0, Q[:, k]) for k in range(alg.n)]
+    return alg.frame_from_adapted_basis(alg.lift_point(x0), basis), x0, Q
 
 
 def random_surface_state(alg, rng, dirs=(1, 2), split_range=0.5, beta_range=0.8):
     """Admissible per-site state of the two-dimensional frame system."""
     psi, _, _ = random_frame(alg, rng)
+    psi = alg.frame_matrix(psi)
     d1, d2 = dirs
     b1 = rng.uniform(-beta_range, beta_range, alg.n)
     b1[d1 - 1] = 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dlame.analysis import SweepReport, csurface_sweep, curve_sweep, rate_fit
+from dlame.analysis import SweepReport, csurface_sweep, curve_sweep, rate_fit, run_sweep
 from dlame.curves import warped_circle_curve
 from dlame.errors import DegenerateFit, SingularPoint
 from dlame.oracles import EllipticOracle, FlatOracle, SphericalOracle
@@ -143,3 +143,10 @@ class TestSweeps:
         assert doc["kind"] == "csurface"
         assert len(doc["eps"]) == 3
         assert "0" in doc["slopes"]
+
+    def test_orthosys_sweep_keeps_requested_orders(self):
+        # the spherical assembly converges at first order in C^0..C^2
+        report = run_sweep("orthosys", SphericalOracle(), [0.1, 0.05, 0.025], 0.4, l_max=2)
+        assert sorted(report.errors) == [0, 1, 2]
+        for ell in (0, 1, 2):
+            assert 0.8 <= report.slopes[ell] <= 1.2

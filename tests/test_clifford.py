@@ -259,3 +259,40 @@ class TestFrames:
     def test_sign_normalization_deterministic(self, rng):
         psi, _, _ = random_frame(ALG3, rng)
         assert psi[int(np.argmax(np.abs(psi)))] > 0
+
+
+class TestFrameMatrix:
+    """L(psi), the Lorentz matrix of the adjoint action that the solver stores."""
+
+    @pytest.mark.parametrize("alg", [ALG2, ALG3])
+    def test_matches_adjoint(self, alg, rng):
+        for _ in range(10):
+            psi, _, _ = random_frame(alg, rng)
+            v = rng.normal(size=(5, alg.dim))
+            assert np.max(np.abs(v @ alg.frame_matrix(psi).T - alg.adjoint(psi, v))) < 1e-12 * (1 + np.abs(v).max())
+
+    @pytest.mark.parametrize("alg", [ALG2, ALG3])
+    def test_lorentz_and_fixes_einf(self, alg, rng):
+        eta = np.diag(alg.lorentz_dot(np.eye(alg.dim), np.eye(alg.dim)))
+        for _ in range(10):
+            L = alg.frame_matrix(random_frame(alg, rng)[0])
+            scale = np.max(np.abs(L)) ** 2
+            assert np.max(np.abs(L.T @ eta @ L - eta)) < 1e-13 * scale
+            assert np.max(np.abs(L @ alg.einf - alg.einf)) < 1e-13 * scale
+
+    def test_composition_and_sign(self, rng):
+        for _ in range(10):
+            a, _, _ = random_frame(ALG3, rng)
+            b, _, _ = random_frame(ALG3, rng)
+            La, Lb = ALG3.frame_matrix(a), ALG3.frame_matrix(b)
+            Lab = ALG3.frame_matrix(ALG3.geometric_product(a, b))
+            scale = np.max(np.abs(La)) * np.max(np.abs(Lb))
+            assert np.max(np.abs(Lab - Lb @ La)) < 1e-12 * scale
+            assert np.array_equal(ALG3.frame_matrix(-a), La)
+
+    def test_batched(self, rng):
+        psis = np.stack([random_frame(ALG3, rng)[0] for _ in range(4)]).reshape(2, 2, ALG3.size)
+        stacked = ALG3.frame_matrix(psis)
+        assert stacked.shape == (2, 2, ALG3.dim, ALG3.dim)
+        for idx in np.ndindex(2, 2):
+            assert np.array_equal(stacked[idx], ALG3.frame_matrix(psis[idx]))

@@ -74,23 +74,21 @@ class TestFrameSystemIdentities:
             rho12, rho21, n, n1, n2 = system.splitting_rhos(vals, eps)
             sig1 = sigma_vector(ALG3, 1, eps[0], vals["h1"], vals["b1"], n1)
             sig2 = sigma_vector(ALG3, 2, eps[1], vals["h2"], vals["b2"], n2)
-            e1psi = ALG3.geometric_product(ALG3.vector(ALG3.basis_vector(1)), vals["psi"])
-            e2psi = ALG3.geometric_product(ALG3.vector(ALG3.basis_vector(2)), vals["psi"])
-            v1 = ALG3.adjoint(e1psi, sig1)
-            v2 = ALG3.adjoint(e2psi, sig2)
-            xhat = ALG3.adjoint(vals["psi"], ALG3.e0)
+            # frame read-offs: vhat_i = L(e_i psi) Sigma_i = L(psi) R_{e_i} Sigma_i
+            v1 = vals["psi"] @ ALG3.reflect(ALG3.basis_vector(1), sig1)
+            v2 = vals["psi"] @ ALG3.reflect(ALG3.basis_vector(2), sig2)
+            xhat = vals["psi"] @ ALG3.e0
             # circularity constraint couples the splitting to the angle
             assert abs(rho12 + rho21 + 2 * ALG3.lorentz_dot(v1, v2)) < 1e-12
             assert abs(n * n - (1 - rho12 * rho21)) < 1e-12
             stepped = {**vals, **system.step(0, vals, eps)}
-            xhat1 = ALG3.adjoint(stepped["psi"], ALG3.e0)
+            xhat1 = stepped["psi"] @ ALG3.e0
             assert np.max(np.abs(xhat1 - (xhat + eps[0] * vals["h1"] * v1))) < 1e-11
             # mirror law: tau_i xhat = -A_{vhat_i}(xhat)
             assert np.max(np.abs(xhat1 + ALG3.reflect(v1, xhat))) < 1e-11
             sig2n = sigma_vector(ALG3, 2, eps[1], stepped["h2"], stepped["b2"],
                                  normal_factor(eps[1], stepped["b2"], 1))
-            e2psi1 = ALG3.geometric_product(ALG3.vector(ALG3.basis_vector(2)), stepped["psi"])
-            v2n = ALG3.adjoint(e2psi1, sig2n)
+            v2n = stepped["psi"] @ ALG3.reflect(ALG3.basis_vector(2), sig2n)
             assert np.max(np.abs(n * v2n - (v2 + rho21 * v1))) < 1e-11
 
     def test_transport_identity_on_random_frames(self, rng):
@@ -181,6 +179,75 @@ class TestBatchedFrameSolve:
         with pytest.raises(SqrtDomain) as err:
             system.step(0, {k: v[2:] for k, v in stacked.items()}, (0.1, 1.0))
         assert err.value.row == 1
+
+
+def _direction_tables(alg, d):
+    """(bivector stack e_k e_d for k = 1..N with row d zeroed, einf e_d)."""
+    ed = alg.vector(alg.basis_vector(d))
+    biv = np.zeros((alg.n, alg.size))
+    for k in range(1, alg.n + 1):
+        if k == d:
+            continue
+        biv[k - 1] = alg.geometric_product(alg.vector(alg.basis_vector(k)), ed)
+    einf_ed = alg.geometric_product(alg.vector(alg.einf), ed)
+    return biv, einf_ed
+
+
+def frame_step_multiplier(alg, d, eps, h, beta, n_fac, biv, einf_ed):
+    """Multivector G with tau psi = G psi, equal to -Sigma_i e_d as a product."""
+    G = -(eps / 2.0) * (np.asarray(beta, dtype=float) @ biv) \
+        + (eps * np.asarray(h, dtype=float))[..., None] * einf_ed
+    G[..., 0] += n_fac
+    return G
+
+
+def _multivector_frame(alg, x0, tangents, slots=None):
+    basis = [alg.tangent_lift(x0, t) for t in tangents]
+    return alg.frame_from_adapted_basis(alg.lift_point(x0), basis, slots=slots)
+
+
+def _multivector_axis(alg, psi0, d, eps, h, beta):
+    """Frames along one lattice axis stepped with the multivector rule tau psi = G psi."""
+    n_fac = normal_factor(eps, beta, d - 1)
+    G = frame_step_multiplier(alg, d, eps, h, beta, n_fac, *_direction_tables(alg, d))
+    frames = [psi0]
+    for g in G[:-1]:
+        frames.append(alg.geometric_product(g, frames[-1]))
+    return np.stack(frames)
+
+
+class TestSolverAgainstCliffordModel:
+    """The solver's frame matrices against multivector frames of the paper's model."""
+
+    def _check_axes(self, alg, res, psi0):
+        assert np.array_equal(alg.frame_matrix(psi0), res.fields["psi"].values[0, 0])
+        eps = res.mesh.eps
+        d1, d2 = res.dirs
+        f = {k: res.fields[k].values for k in ("h1", "b1", "h2", "b2", "psi")}
+        row = _multivector_axis(alg, psi0, d1, eps[0], f["h1"][:, 0], f["b1"][:, 0])
+        col = _multivector_axis(alg, psi0, d2, eps[1], f["h2"][0], f["b2"][0])
+        tiny = np.finfo(float).eps
+        for frames, solved, x in ((row, f["psi"][:, 0], res.x[:, 0]), (col, f["psi"][0], res.x[0])):
+            assert np.max(np.abs(alg.frame_matrix(frames) - solved)) <= 64 * tiny * np.max(np.abs(solved))
+            model_x = alg.drop_to_euclidean(alg.adjoint(frames, alg.e0))
+            assert np.max(np.abs(x - model_x)) <= 64 * tiny * max(1.0, np.max(np.abs(x)))
+
+    def test_elliptic_surface(self):
+        oracle = EllipticOracle()
+        tangents = [oracle.curve(a).dx(0.0) / np.linalg.norm(oracle.curve(a).dx(0.0)) for a in (1, 2)]
+        psi0 = _multivector_frame(ALG2, oracle.F(0.0, 0.0), tangents)
+        res = csurface_solve(csurface_data_from_oracle(oracle, np.pi / 40, 4 * np.pi / 10))
+        self._check_axes(ALG2, res, psi0)
+
+    def test_ribaucour_transform(self):
+        curve = warped_circle_curve(1.0, 0.3)
+        x0 = curve.x(0.0)
+        t1 = curve.dx(0.0) / np.linalg.norm(curve.dx(0.0))
+        psi0 = _multivector_frame(ALG2, x0, [t1, np.array([-t1[1], t1[0]])])
+        pair = ribaucour_solve(ALG2, curve, lambda t: -1.0 + 0.3 * np.sin(1.5 * t),
+                               np.array([0.55, 0.0]), np.pi / 40, 8 * np.pi / 40,
+                               psi0=ALG2.frame_matrix(psi0))
+        self._check_axes(ALG2, pair.result, psi0)
 
 
 class TestReadOff:
@@ -340,7 +407,7 @@ class TestCSurface:
         assert np.max(np.abs(res.x[:, 0, :] - dc.points)) < 1e-10
 
     def test_frame_to_point_trivials(self):
-        assert np.allclose(frame_points(ALG2, ALG2.scalar(1.0)), np.zeros(2))
+        assert np.allclose(frame_points(ALG2, np.eye(ALG2.dim)), np.zeros(2))
         t = np.array([0.7, -0.2])
         psi = suited_frame(ALG2, t, [np.array([1.0, 0]), np.array([0.0, 1])])
         assert np.allclose(frame_points(ALG2, psi), t)
