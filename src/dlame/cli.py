@@ -33,8 +33,8 @@ def parse_eps(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise ConfigError(f"malformed mesh size {text!r}") from exc
-    if value <= 0:
-        raise ConfigError(f"mesh size must be positive, got {text!r}")
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigError(f"mesh size must be positive and finite, got {text!r}")
     return value
 
 
@@ -158,6 +158,12 @@ def _export(args, x, eps_tuple):
 
 
 def run(args) -> int:
+    for name in ("r", "r2"):
+        value = getattr(args, name, None)
+        if value is not None and not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"--{name} must be positive and finite, got {value!r}")
+    if getattr(args, "lmax", 0) < 0:
+        raise ConfigError(f"--lmax must be non-negative, got {args.lmax}")
     if args.command == "csurface":
         oracle = make_oracle(args.oracle)
         if oracle.n != 2:

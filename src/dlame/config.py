@@ -12,7 +12,7 @@ class Tolerances:
     algebra: float = 1e-12
     # group-membership drift (pin elements, adjoint isometry)
     group: float = 1e-10
-    # relative determinant threshold declaring an implicit block degenerate
+    # Hadamard ratio |det A| / prod_r |A_r| below which an implicit block is degenerate
     degeneracy: float = 1e-12
     # relative planarity pre-check in rotation-coefficient extraction
     planarity: float = 1e-8

@@ -112,21 +112,9 @@ def _block_plan(M: int, triples: tuple, tail_dirs: tuple) -> _BlockPlan:
     )
 
 
-def dcn_step_c(c: np.ndarray, eps, triple=None, tail_dirs=()) -> dict:
-    """Solve the implicit blocks for the difference quotients delta_a c_cb.
-
-    c is an (..., M, M) array of rotation coefficients at the cube corner
-    (diagonal ignored, 0-based) with any leading batch axes, and eps the mesh
-    sizes, (M,) or (..., M) per batch entry; the two broadcast.  `triple`
-    selects one unordered index triple, a list of them, or all (None); the
-    blocks of every batch entry are assembled and factored as one stacked
-    batch.
-    Returns {(a, b, c): delta_a c_bc} with values over the batch axes,
-    covering every ordered pair inside the requested triple(s).  Raises
-    DegenerateHexahedron, carrying the first offending batch row, when a
-    block determinant falls below tolerance, or when a tail-direction block
-    has a vanishing admissibility factor 1 + c_{Mi}.
-    """
+def _implicit_blocks(c: np.ndarray, eps, triple, tail_dirs):
+    """The stacked blocks A and right-hand sides F of `dcn_step_c`, the output
+    keys in row order, and its gates as `raise_first` checks; nothing is solved."""
     c = np.asarray(c, dtype=float)
     M = c.shape[-1]
     if triple is None:
@@ -151,9 +139,8 @@ def dcn_step_c(c: np.ndarray, eps, triple=None, tail_dirs=()) -> dict:
     A[..., _ENTRIES] = entries
     A = A.reshape(batch + (ntrip, 6, 6))
     F = cak * ckb + cka * cab - ckb * cab
-    scale = np.maximum(1.0, np.abs(entries).max(axis=-1))
-    dets = np.abs(np.linalg.det(A))
-    det_bad = dets < TOL.degeneracy * scale**6
+    # no row vanishes: a row with c_ab = 0 has diagonal 1, one with c_ab != 0 the entry -eps_b c_ab
+    ratio = np.abs(np.linalg.det(A)) / np.sqrt(np.einsum("...ij,...ij->...i", A, A)).prod(axis=-1)
     checks = []
     if plan.tail_msg:
         cmax = np.max(np.abs(cf[..., plan.block]), axis=-1)
@@ -161,12 +148,31 @@ def dcn_step_c(c: np.ndarray, eps, triple=None, tail_dirs=()) -> dict:
         tail_bad = np.abs(fac) < TOL.degeneracy * (1.0 + cmax[..., plan.tail_trip]) ** 2
         checks.append((tail_bad.any(axis=-1), lambda row: DegenerateHexahedron(
             plan.tail_msg[int(np.argmax(tail_bad.reshape(-1, len(plan.tail_msg))[row]))])))
-    checks.append((det_bad.any(axis=-1), lambda row: DegenerateHexahedron(
+    checks.append(((ratio < TOL.degeneracy).any(axis=-1), lambda row: DegenerateHexahedron(
         f"implicit block for triple "
-        f"{triples[int(np.argmin((dets / scale**6).reshape(-1, ntrip)[row]))]} is singular")))
+        f"{triples[int(np.argmin(ratio.reshape(-1, ntrip)[row]))]} is singular")))
+    return A, F, plan.keys, checks
+
+
+def dcn_step_c(c: np.ndarray, eps, triple=None, tail_dirs=()) -> dict:
+    """Solve the implicit blocks for the difference quotients delta_a c_cb.
+
+    c is an (..., M, M) array of rotation coefficients at the cube corner
+    (diagonal ignored, 0-based) with any leading batch axes, and eps the mesh
+    sizes, (M,) or (..., M) per batch entry; the two broadcast.  `triple`
+    selects one unordered index triple, a list of them, or all (None); the
+    blocks of every batch entry are assembled and factored as one stacked
+    batch.
+    Returns {(a, b, c): delta_a c_bc} with values over the batch axes,
+    covering every ordered pair inside the requested triple(s).  Raises
+    DegenerateHexahedron, carrying the first offending batch row, when the
+    Hadamard ratio |det A| / prod_r |A_r| of a block falls below tolerance,
+    or when a tail-direction block has a vanishing factor 1 + c_{Mi}.
+    """
+    A, F, keys, checks = _implicit_blocks(c, eps, triple, tail_dirs)
     raise_first(checks)
-    delta = np.linalg.solve(A, F[..., None])[..., 0].reshape(batch + (-1,))
-    return {key: delta[..., k] for k, key in enumerate(plan.keys)}
+    delta = np.linalg.solve(A, F[..., None])[..., 0].reshape(A.shape[:-3] + (-1,))
+    return {key: delta[..., k] for k, key in enumerate(keys)}
 
 
 class ConjugateSystem(HyperbolicSystem):
@@ -177,6 +183,8 @@ class ConjugateSystem(HyperbolicSystem):
     def __init__(self, M: int, N: int, tail_dirs: tuple[int, ...] = ()):
         self.N = N
         self.tail_dirs = tuple(tail_dirs)
+        # names of the c_ij components by 0-based pair, looked up on every step call
+        self._cnames = {(i, j): cname(i + 1, j + 1) for i, j in itertools.permutations(range(M), 2)}
         comps = [
             Component(
                 "x", (N,), (),
@@ -188,7 +196,7 @@ class ConjugateSystem(HyperbolicSystem):
             for j in range(M):
                 if j == i:
                     continue
-                reads[j] = (f"w{i + 1}", f"w{j + 1}", cname(i + 1, j + 1), cname(j + 1, i + 1))
+                reads[j] = (f"w{i + 1}", f"w{j + 1}", self._cnames[i, j], self._cnames[j, i])
             comps.append(Component(f"w{i + 1}", (N,), (i,), reads))
         for i, j in itertools.permutations(range(M), 2):
             reads = {}
@@ -196,15 +204,15 @@ class ConjugateSystem(HyperbolicSystem):
                 if k in (i, j):
                     continue
                 tri = (i, j, k)
-                reads[k] = tuple(cname(p + 1, q + 1) for p, q in itertools.permutations(tri, 2))
-            comps.append(Component(cname(i + 1, j + 1), (), tuple(sorted((i, j))), reads))
+                reads[k] = tuple(self._cnames[pq] for pq in itertools.permutations(tri, 2))
+            comps.append(Component(self._cnames[i, j], (), tuple(sorted((i, j))), reads))
         super().__init__(M, comps)
 
     def _cmatrix(self, vals) -> np.ndarray:
         M = self.M
         c = np.zeros(np.shape(vals["x"])[:-1] + (M, M))
-        for i, j in itertools.permutations(range(M), 2):
-            c[..., i, j] = vals[cname(i + 1, j + 1)]
+        for (i, j), name in self._cnames.items():
+            c[..., i, j] = vals[name]
         return c
 
     def step(self, direction: int, vals, eps, outputs=None):
@@ -226,14 +234,14 @@ class ConjugateSystem(HyperbolicSystem):
             out[f"w{i + 1}"] = wi + eps[j] * (c[..., i, j, None] * wj + c[..., j, i, None] * wi)
         pairs = [
             (a, b) for a, b in itertools.combinations(range(self.M), 2)
-            if j not in (a, b) and wanted(cname(a + 1, b + 1), cname(b + 1, a + 1))
+            if j not in (a, b) and wanted(self._cnames[a, b], self._cnames[b, a])
         ]
         if pairs:
             delta = dcn_step_c(c, eps, triple=[(j, a, b) for a, b in pairs],
                                tail_dirs=self.tail_dirs)
             for a, b in pairs:
-                out[cname(a + 1, b + 1)] = c[..., a, b] + eps[j] * delta[(j, a, b)]
-                out[cname(b + 1, a + 1)] = c[..., b, a] + eps[j] * delta[(j, b, a)]
+                out[self._cnames[a, b]] = c[..., a, b] + eps[j] * delta[(j, a, b)]
+                out[self._cnames[b, a]] = c[..., b, a] + eps[j] * delta[(j, b, a)]
         return out
 
 
@@ -250,9 +258,6 @@ class CornerState:
     def M(self) -> int:
         return self.w.shape[-2]
 
-    def copy(self) -> "CornerState":
-        return CornerState(self.x.copy(), self.w.copy(), self.c.copy())
-
 
 def _entries(v: np.ndarray, k: int):
     """Flat index of every entry over v's batch axes (all but its last k), and
@@ -262,22 +267,9 @@ def _entries(v: np.ndarray, k: int):
     return np.arange(math.prod(lead)).reshape(lead), v.reshape((-1,) + v.shape[v.ndim - k:])
 
 
-def shift_state(state: CornerState, direction, eps, tail_dirs=(), delta=None) -> CornerState:
-    """Advance a corner state by one lattice step; entries that would need
-    fresh Goursat data become nan.
-
-    `direction` is an int or an int array that broadcasts against the batch
-    axes of the state and of eps ((M,) or (..., M)); the result carries the
-    broadcast batch shape, each entry stepped in its own direction.  Without
-    `delta` the blocks of every triple that contains a requested direction
-    and whose coefficients are known in every batch entry are solved here.
-    `delta` may instead carry the output of an earlier `dcn_step_c` call on
-    the same state (`_corner_blocks`), so callers that shift one corner in
-    several directions solve each block once; the step then updates exactly
-    the pairs that output covers.
-    """
-    M = state.M
-    a = np.asarray(direction)
+def _shift_edges(state: CornerState, a: np.ndarray, eps):
+    """Shifted x and w of `shift_state` (row a of w nan), and the step sizes
+    eps_a as (..., 1)."""
     ie, ef = _entries(np.asarray(eps, dtype=float), 1)
     iw, wf = _entries(state.w, 2)
     ic, cf = _entries(state.c, 2)
@@ -285,11 +277,28 @@ def shift_state(state: CornerState, direction, eps, tail_dirs=(), delta=None) ->
     wa = wf[iw, a]
     x = state.x + ea * wa
     w = state.w + ea[..., None] * (cf[ic, :, a][..., None] * wa[..., None, :] + cf[ic, a][..., None] * state.w)
-    w = np.where(np.arange(M)[:, None] == a[..., None, None], np.nan, w)
-    if delta is None:
-        dirs = set(np.ravel(a).tolist())
-        triples = [t for t in sorted(_known_triples(state.c)) if dirs & set(t)]
-        delta = dcn_step_c(state.c, eps, triple=triples, tail_dirs=tail_dirs) if triples else {}
+    w = np.where(np.arange(state.M)[:, None] == a[..., None, None], np.nan, w)
+    return x, w, ea
+
+
+def shift_state(state: CornerState, direction, eps, tail_dirs=()) -> CornerState:
+    """Advance a corner state by one lattice step; entries that would need
+    fresh Goursat data become nan.
+
+    `direction` is an int or an int array that broadcasts against the batch
+    axes of the state and of eps ((M,) or (..., M)); the result carries the
+    broadcast batch shape, each entry stepped in its own direction.  The
+    blocks of every triple that contains a requested direction and whose
+    coefficients are known in every batch entry are solved in one
+    `dcn_step_c` call, so shifting one corner in several directions at once
+    solves each block once.
+    """
+    M = state.M
+    a = np.asarray(direction)
+    x, w, ea = _shift_edges(state, a, eps)
+    dirs = set(np.ravel(a).tolist())
+    triples = [t for t in sorted(_known_triples(state.c)) if dirs & set(t)]
+    delta = dcn_step_c(state.c, eps, triple=triples, tail_dirs=tail_dirs) if triples else {}
     # delta_i c_pq on a dense (i, p, q) grid over the batch entries of delta,
     # nan where no block covers it
     shape = np.shape(next(iter(delta.values()), 0.0))
@@ -325,51 +334,45 @@ def elementary_hexahedron(state: CornerState, eps) -> np.ndarray:
     Works in any ambient dimension by solving inside the three-space spanned
     by the corner edges.  The state may carry batch axes and eps may be (3,)
     or (..., 3) over them; the far vertices come back as (..., N) from one
-    stacked QR, one block solve, one shift in all three directions and one
-    stacked 3x3 solve.  Raises DegenerateHexahedron, carrying the first
-    offending batch row, when the edges do not span a three-space, an
+    stacked QR, one shift of x and w in all three directions and one stacked
+    3x3 solve.  The construction reads no shifted c, so the implicit block
+    is gated but not solved.  Raises DegenerateHexahedron, carrying the
+    first offending batch row, when the edges do not span a three-space, the
     implicit block is singular, a shifted face plane degenerates or the
     planes are parallel.
     """
     if state.M != 3:
         raise ValueError("elementary hexahedron needs exactly three directions")
-    # every entry gets a unit axis, which the shift broadcasts to its three lead directions
-    corner = CornerState(state.x[..., None, :], state.w[..., None, :, :], state.c[..., None, :, :])
-    e = np.asarray(eps, dtype=float)[..., None, :]
-    basis, rdiag = np.linalg.qr(np.swapaxes(corner.w, -1, -2))  # (..., 1, N, 3): span of the edges
+    e = np.asarray(eps, dtype=float)
+    basis, rdiag = np.linalg.qr(np.swapaxes(state.w, -1, -2))  # (..., N, 3): span of the edges
     rabs = np.abs(rdiag)
     edge_scale = np.maximum(1.0, np.max(rabs, axis=(-2, -1)))
     flat = np.min(np.diagonal(rabs, axis1=-2, axis2=-1), axis=-1) < 1e-10 * edge_scale
-    try:
-        raise_first([(flat, lambda row: DegenerateHexahedron("corner edges do not span a three-space"))])
-        delta = _corner_blocks(corner, e)
-    except DegenerateHexahedron as err:
-        if err.row:
-            # an earlier entry may fail a later gate, which a per-entry loop meets first
-            def head(v, k):
-                return v.reshape((-1,) + v.shape[v.ndim - k:])[:err.row]
-            elementary_hexahedron(CornerState(head(corner.x, 1), head(corner.w, 2), head(corner.c, 2)),
-                                  head(np.broadcast_to(e, corner.x.shape[:-1] + (3,)), 1))
-        raise
-    shifted = shift_state(corner, np.arange(3), e, delta=delta)      # batch (..., lead)
+    *_, block_checks = _implicit_blocks(state.c, e, None, ())
+    # every entry gets a unit axis, which the shift broadcasts to its three lead directions
+    corner = CornerState(state.x[..., None, :], state.w[..., None, :, :], state.c[..., None, :, :])
+    x, w, _ = _shift_edges(corner, np.arange(3), e[..., None, :])      # batch (..., lead)
     # lead a's face plane holds its shifted corner and its two other shifted edges;
     # products keep matrix-vector shapes, so each entry gets a single corner's arithmetic
-    bt = np.swapaxes(basis, -1, -2)                                   # (..., 1, 3, N)
-    u = (bt @ shifted.w[..., np.arange(3), _FACE_U, :, None])[..., 0]  # (..., lead, 3)
-    v = (bt @ shifted.w[..., np.arange(3), _FACE_V, :, None])[..., 0]
+    bt = np.swapaxes(basis, -1, -2)[..., None, :, :]                  # (..., 1, 3, N)
+    u = (bt @ w[..., np.arange(3), _FACE_U, :, None])[..., 0]          # (..., lead, 3)
+    v = (bt @ w[..., np.arange(3), _FACE_V, :, None])[..., 0]
     normal = u[..., _CYC1] * v[..., _CYC2] - u[..., _CYC2] * v[..., _CYC1]
     norm = np.sqrt(normal[..., None, :] @ normal[..., :, None])[..., 0]
     A = normal / np.maximum(norm, 1e-300)
-    rhs = A[..., None, :] @ (bt @ (shifted.x - corner.x)[..., None])
+    rhs = A[..., None, :] @ (bt @ (x - corner.x)[..., None])
     scale = np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
+    # one pass over every gate names the entry a per-entry loop would meet first
     raise_first([
+        (flat, lambda row: DegenerateHexahedron("corner edges do not span a three-space")),
+        *block_checks,
         ((norm < 1e-300).any(axis=(-2, -1)),
          lambda row: DegenerateHexahedron("shifted face plane is degenerate")),
         (np.abs(np.linalg.det(A)) < TOL.degeneracy * scale**3,
          lambda row: DegenerateHexahedron("face planes are (nearly) parallel")),
     ])
     y = np.linalg.solve(A, rhs[..., 0])
-    return corner.x[..., 0, :] + (basis[..., 0, :, :] @ y)[..., 0]
+    return state.x + (basis @ y)[..., 0]
 
 
 def extract_rotation_coeffs(x, xi, xj, xij, eps_i: float, eps_j: float):
@@ -438,12 +441,6 @@ def _known_triples(c: np.ndarray) -> set:
     }
 
 
-def _corner_blocks(state: CornerState, eps) -> dict:
-    """One dcn_step_c call over every triple whose coefficients are all known."""
-    triples = sorted(_known_triples(state.c))
-    return dcn_step_c(state.c, eps, triple=triples) if triples else {}
-
-
 # the three other directions of each lead direction of a 4-cube, and the
 # pairs of leads whose far vertices are compared
 _REST = np.array([[d for d in range(4) if d != lead] for lead in range(4)])
@@ -460,7 +457,7 @@ def check_4d_consistency(state: CornerState, eps) -> float:
     if state.M != 4:
         raise ValueError("the consistency check runs on four directions")
     leads = np.arange(4)
-    s = shift_state(state, leads, eps, delta=_corner_blocks(state, eps))
+    s = shift_state(state, leads, eps)
     sub = CornerState(s.x, s.w[leads[:, None], _REST],
                       s.c[leads[:, None, None], _REST[:, :, None], _REST[:, None, :]])
     far = elementary_hexahedron(sub, np.asarray(eps, dtype=float)[_REST])

@@ -60,23 +60,19 @@ def circle_records(x: np.ndarray, tol_rel: float = 1e-8):
             zip(cells, center.reshape(-1, 2).tolist(), radius.ravel().tolist())]
 
 
-def field_rows(x: np.ndarray, eps) -> tuple[list[str], list[list[float]]]:
-    """Lexicographically ordered rows (xi..., x...) of a point field."""
+def field_rows(x: np.ndarray, eps) -> tuple[list[str], np.ndarray]:
+    """Lexicographically ordered rows (xi..., x...) of a point field, as one
+    (sites, k + N) array for a field over k grid axes."""
     grid_axes = x.ndim - 1
     names = [f"xi{k + 1}" for k in range(grid_axes)] + [f"x{k + 1}" for k in range(x.shape[-1])]
-    rows = []
-    for idx in np.ndindex(x.shape[:-1]):
-        coords = [idx[k] * eps[k] for k in range(grid_axes)]
-        rows.append(coords + [float(v) for v in x[idx]])
-    return names, rows
+    coords = np.indices(x.shape[:-1]).reshape(grid_axes, -1).T * np.asarray(eps, dtype=float)[:grid_axes]
+    return names, np.concatenate([coords, x.reshape(-1, x.shape[-1])], axis=1)
 
 
 def write_csv(path, x: np.ndarray, eps) -> None:
     names, rows = field_rows(x, eps)
     with open(path, "w", newline="") as f:
-        f.write(",".join(names) + "\n")
-        for row in rows:
-            f.write(",".join(FMT % v for v in row) + "\n")
+        np.savetxt(f, rows, fmt=FMT, delimiter=",", header=",".join(names), comments="")
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
@@ -95,7 +91,7 @@ def write_json(path, x: np.ndarray, eps, config: dict) -> None:
             "config": {k: config[k] for k in sorted(config)},
         },
         "columns": names,
-        "rows": rows,
+        "rows": rows.tolist(),
     }
     with open(path, "w") as f:
         json.dump(doc, f, indent=1, sort_keys=True)

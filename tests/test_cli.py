@@ -18,7 +18,7 @@ class TestParsing:
     def test_pi_literal(self):
         assert parse_eps("pi/20") == np.pi / 20
 
-    @pytest.mark.parametrize("bad", ["bogus", "pi/0", "pi/-3", "-0.5", "0"])
+    @pytest.mark.parametrize("bad", ["bogus", "pi/0", "pi/-3", "-0.5", "0", "nan", "inf"])
     def test_malformed(self, bad):
         with pytest.raises(ConfigError):
             parse_eps(bad)
@@ -31,6 +31,16 @@ class TestParsing:
 class TestExitCodes:
     def test_malformed_eps_exits_2(self, capsys):
         assert main(["csurface", "--oracle", "elliptic", "--eps", "nope"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["csurface", "--eps", "0.1", "--r", "-1"],
+        ["csurface", "--eps", "0.1", "--r", "nan"],
+        ["csurface", "--eps", "0.1", "--r2", "inf"],
+        ["orthosys", "--eps", "0.1", "--r", "0"],
+        ["sweep", "--eps-list", "0.1,0.05", "--lmax", "-1"],
+    ])
+    def test_out_of_range_extent_or_order_exits_2(self, argv):
+        assert main(argv) == 2
 
     def test_unknown_oracle_exits_2(self):
         assert main(["csurface", "--oracle", "does-not-exist", "--eps", "0.1"]) == 2

@@ -20,7 +20,7 @@ from dlame.conjugate import (
     shift_state,
     solve_conjugate_net,
 )
-from dlame.errors import DegenerateEdges, DegenerateHexahedron, NonPlanarQuad
+from dlame.errors import DegenerateEdges, DegenerateHexahedron, DomainViolation, NonPlanarQuad
 from dlame.lattice import MeshSpec, consistency_residual
 from dlame.oracles import EllipticOracle, csurface_data_from_oracle
 from dlame.orthogonal import csurface_solve
@@ -43,11 +43,10 @@ def reference_hexahedron(state, eps):
     basis, rdiag = np.linalg.qr(state.w.T)
     if np.min(np.abs(np.diagonal(rdiag))) < 1e-10 * max(1.0, float(np.max(np.abs(rdiag)))):
         raise DegenerateHexahedron("corner edges do not span a three-space")
-    delta = conjugate._corner_blocks(state, eps)
     A = np.zeros((3, 3))
     rhs = np.zeros(3)
     for a in range(3):
-        s = shift_state(state, a, eps, delta=delta)
+        s = shift_state(state, a, eps)
         jj, kk = [d for d in range(3) if d != a]
         normal = np.cross(basis.T @ s.w[jj], basis.T @ s.w[kk])
         A[a] = normal / np.linalg.norm(normal)
@@ -57,10 +56,9 @@ def reference_hexahedron(state, eps):
 
 def reference_far_vertices(state, eps):
     """The per-lead loop of check_4d_consistency before it was batched."""
-    delta = conjugate._corner_blocks(state, eps)
     far = []
     for lead in range(4):
-        s = shift_state(state, lead, eps, delta=delta)
+        s = shift_state(state, lead, eps)
         rest = [d for d in range(4) if d != lead]
         sub = CornerState(s.x, s.w[rest], s.c[rest][:, rest])
         far.append(reference_hexahedron(sub, [eps[d] for d in rest]))
@@ -225,12 +223,11 @@ class TestBatchedCorners:
         for k, s in enumerate(corners):
             assert same(CornerState(batch.x[k], batch.w[k], batch.c[k]), shift_state(s, int(dirs[k]), eps[k]))
         # every direction at once, from blocks solved once per corner
-        batch = shift_state(stacked, np.arange(M)[:, None], eps, delta=conjugate._corner_blocks(stacked, eps))
+        batch = shift_state(stacked, np.arange(M)[:, None], eps)
         assert batch.x.shape == (M, K, N)
         for k, s in enumerate(corners):
-            delta = conjugate._corner_blocks(s, eps[k])
             for a in range(M):
-                single = shift_state(s, a, eps[k], delta=delta)
+                single = shift_state(s, a, eps[k])
                 assert same(CornerState(batch.x[a, k], batch.w[a, k], batch.c[a, k]), single)
         # three-direction corners closed by one hexahedron call
         far = elementary_hexahedron(CornerState(stacked.x, stacked.w[:, :3], stacked.c[:, :3, :3]), eps[:, :3])
@@ -370,7 +367,7 @@ class TestConsistency:
         assert worst < 1e-9
 
     def test_corner_blocks_are_solved_once(self, rng, monkeypatch):
-        # one call for the four triples of the corner, one for the four shifted cubes
+        # one call for the four triples of the corner; the shifted cubes are gated, not solved
         calls = []
 
         def counting(c, eps, triple=None, tail_dirs=()):
@@ -380,7 +377,7 @@ class TestConsistency:
 
         monkeypatch.setattr(conjugate, "dcn_step_c", counting)
         check_4d_consistency(random_corner(rng, M=4), (1.0,) * 4)
-        assert calls == [4, 1]
+        assert calls == [4]
 
     def test_zero_coefficients_close_exactly(self, rng):
         st = random_corner(rng, M=4, cmax=0.0)
@@ -408,10 +405,9 @@ class TestConsistency:
         st = random_corner(rng, M=4, cmax=0.0)
         st.w[3] = st.w[0] + st.w[1]  # only lead 2's cube, directions (0, 1, 3), is flat
         eps = (1.0,) * 4
-        delta = conjugate._corner_blocks(st, eps)
         subs = []
         for lead in range(4):
-            s = shift_state(st, lead, eps, delta=delta)
+            s = shift_state(st, lead, eps)
             rest = [d for d in range(4) if d != lead]
             subs.append(CornerState(s.x, s.w[rest], s.c[rest][:, rest]))
         for lead in (0, 1, 3):
@@ -570,6 +566,20 @@ class TestJonas:
             err1 = np.max(np.linalg.norm(e1[..., layer, :] - ref[::8, ::8, layer, :], axis=-1))
             err2 = np.max(np.linalg.norm(e2[..., layer, :] - ref[::4, ::4, layer, :], axis=-1))
             assert 1.7 < err1 / err2 < 2.6
+
+    def test_vanishing_tail_factor_site_is_pinned(self, rng):
+        # 1 + c_{3,0} vanishes at one site of its data plane: the first block
+        # of the transform direction that reads it is genuinely singular, and
+        # the driver names that site in fill order
+        mesh, x0, w, c = _random_net_data(rng, 5, 1)
+        c[(3, 0)][2, 0] = -1.0
+        with pytest.raises(DomainViolation) as err:
+            solve_conjugate_net(mesh, x0, w, c, N=3)
+        assert err.value.site == (0.2, 0.0, 0.0, 0.0)
+        assert all(type(v) is float for v in err.value.site)
+        assert err.value.direction == 3
+        assert isinstance(err.value.cause, DegenerateHexahedron)
+        assert str(err.value.cause) == "transform block (0, 1, 3) is inadmissible: (1+c[3,i]) factors vanish"
 
     def test_trivial_transform_coplanar(self):
         # a constant displacement is a Jonas transform with vanishing coefficients
