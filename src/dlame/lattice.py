@@ -7,11 +7,16 @@ hyperbolic systems declare, per dependent component, the static directions
 (where Goursat data live) and a step rule; the driver fills the box level by
 level, pulling each unknown from its lowest-index evolution direction, which
 makes the result independent of the site enumeration order by construction.
+The schedule of that fill (see goursat_solve) is compiled once per system
+structure, box size and request into a plan kept in a bounded, process-local
+cache, so a solve only gathers, steps and scatters.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -83,13 +88,12 @@ class MeshSpec:
             raise OutOfBounds("mesh exhausted in direction %d" % direction)
         return MeshSpec(self.eps, tuple(npts), self.tail)
 
-    def levels(self):
-        """Site indices grouped by level sum(idx); level order is the fill order."""
-        maxlev = sum(n - 1 for n in self.npts)
-        buckets: list[list[tuple[int, ...]]] = [[] for _ in range(maxlev + 1)]
-        for idx in itertools.product(*(range(n) for n in self.npts)):
-            buckets[sum(idx)].append(idx)
-        return buckets
+    def levels(self) -> list[np.ndarray]:
+        """Site indices grouped by level sum(idx), one (sites, M) int array per
+        level; level order is the fill order, C order within a level."""
+        idx = np.indices(self.npts).reshape(self.M, -1).T
+        level = idx.sum(axis=1)
+        return np.split(idx[np.argsort(level, kind="stable")], np.cumsum(np.bincount(level))[:-1])
 
 
 def mesh_points(r: float, eps: float) -> int:
@@ -224,13 +228,71 @@ class HyperbolicSystem:
         raise NotImplementedError
 
 
-def _producer_dirs(sites: np.ndarray, evolution: tuple[int, ...]) -> np.ndarray:
-    """Per site, the lowest evolution direction with a positive index (-1 on
-    the component's static subspace, where Goursat data live)."""
-    out = np.full(len(sites), -1)
-    for j in reversed(evolution):
-        out[sites[:, j] > 0] = j
-    return out
+def _signature(system: HyperbolicSystem) -> tuple:
+    """Per component: name, static directions and per-direction read set (undeclared: all)."""
+    names = tuple(c.name for c in system.components)
+    return tuple((c.name, c.static, tuple(() if j in c.static else tuple(c.reads.get(j, names))
+                                          for j in range(system.M)))
+                 for c in system.components)
+
+
+@functools.lru_cache(maxsize=32)
+def _fill_plan(signature: tuple, npts: tuple[int, ...], request: tuple[str, ...] | None):
+    """Per level, the step calls that fill a box of `npts` sites (see goursat_solve).
+
+    A call is (direction, outputs, src, dst, pos, rank): read-only flat C-order
+    source and destination sites, the fill-order position of each destination
+    within its level, and the declaration index of the first output component.
+    """
+    M, names = len(npts), [name for name, _, _ in signature]
+    coords = np.indices(npts).reshape(M, -1)
+    strides = np.array([math.prod(npts[d + 1:]) for d in range(M)], dtype=np.intp)
+    # producer[c, s]: lowest evolution direction of component c with a positive
+    # index at site s, -1 on its static subspace (where Goursat data live)
+    producer = np.full((len(names), coords.shape[1]), -1, dtype=np.intp)
+    for c, (_, static, _) in enumerate(signature):
+        for j in sorted(set(range(M)) - set(static), reverse=True):
+            producer[c, coords[j] > 0] = j
+    # the site order within a level is MeshSpec.levels()'s; mesh sizes do not enter it
+    levels = [np.ravel_multi_index(tuple(np.asarray(sites, dtype=np.intp).reshape(-1, M).T), npts)
+              for sites in MeshSpec((1.0,) * M, npts).levels()]
+    need = producer >= 0
+    if request is not None:
+        # backward demand marking, one level at a time: a needed value marks
+        # what its step reads at its source site
+        reads = np.zeros((len(names), M, len(names)), dtype=bool)
+        for c, (_, _, per_dir) in enumerate(signature):
+            for j, read in enumerate(per_dir):
+                reads[c, j, [names.index(r) for r in read]] = True
+        need = np.zeros_like(need)
+        need[[names.index(r) for r in request]] = True
+        for sites in reversed(levels[1:]):
+            comp, row = np.nonzero(need[:, sites] & (producer[:, sites] >= 0))
+            j = producer[comp, sites[row]]
+            pull, read = np.nonzero(reads[comp, j])
+            need[read, (sites[row] - strides[j])[pull]] = True
+
+    seq = np.concatenate(levels)
+    level = np.repeat(np.arange(len(levels)), [len(sites) for sites in levels])
+    pos = np.concatenate([np.arange(len(sites)) for sites in levels])
+    # an output set as a bit pattern, first component most significant, so
+    # sets come in the lexicographic order of their flag rows
+    bits = 1 << np.arange(len(names) - 1, -1, -1)
+    plan: list[list[tuple]] = [[] for _ in levels]
+    for j in range(M):
+        pattern = bits @ ((producer[:, seq] == j) & need[:, seq])
+        order = np.lexsort((pattern, level))
+        order = order[pattern[order] > 0]
+        dst, lev, pat, at = seq[order], level[order], pattern[order], pos[order]
+        src = dst - strides[j]
+        for a in (src, dst, at):
+            a.flags.writeable = False
+        starts = np.flatnonzero(np.diff(lev, prepend=-1) | np.diff(pat, prepend=-1))
+        for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(dst)]):
+            on = [c for c in range(len(names)) if pat[lo] & bits[c]]
+            plan[lev[lo]].append((j, tuple(sorted(names[c] for c in on)),
+                                  src[lo:hi], dst[lo:hi], at[lo:hi], min(on)))
+    return tuple(tuple(steps) for steps in plan)
 
 
 def goursat_solve(
@@ -260,42 +322,22 @@ def goursat_solve(
     read sets) are computed; everything else stays nan.  This matters for
     transform layers, where the box contains sites whose would-be values
     describe a further transform that no requested output depends on.
+
+    The schedule of step calls (the fill plan) is a pure function of the
+    components' names, static directions and read sets, of `mesh.npts` and
+    of the set of requested names.  It is built once per such key, vectorised
+    over the box, and kept in a bounded, process-local LRU cache; a solve
+    then only gathers, steps and scatters on flat views of the fields.
     """
     if mesh.M != system.M:
         raise ValueError("mesh dimension does not match the system")
     comps = system.components
-    names = [c.name for c in comps]
     if request is not None:
-        unknown = set(request) - set(names)
+        unknown = set(request) - {c.name for c in comps}
         if unknown:
             raise ValueError(f"requested unknown components {sorted(unknown)}")
-    evolutions = {c.name: c.evolution(mesh.M) for c in comps}
-    levels = [np.array(sites, dtype=int).reshape(-1, mesh.M) for sites in mesh.levels()]
-
-    # backward dependency marking: pull[(j, name)] flags the source sites whose
-    # step in direction j must produce `name`; an undeclared read set is taken
-    # as "reads all"
-    marked = {c.name: np.full(mesh.shape, request is None or c.name in request) for c in comps}
-    pull = {(j, c.name): np.zeros(mesh.shape, dtype=bool) for c in comps for j in evolutions[c.name]}
-    for sites in reversed(levels[1:]):
-        idx = tuple(sites.T)
-        for comp in comps:
-            evo = evolutions[comp.name]
-            if not evo:
-                continue
-            need = marked[comp.name][idx]
-            producer = _producer_dirs(sites, evo)
-            for j in evo:
-                rows = need & (producer == j)
-                if not rows.any():
-                    continue
-                src = sites[rows]
-                src[:, j] -= 1
-                src_idx = tuple(src.T)
-                pull[(j, comp.name)][src_idx] = True
-                reads = comp.reads.get(j)
-                for name in reads if reads is not None else names:
-                    marked[name][src_idx] = True
+        request = tuple(sorted(set(request)))
+    plan = _fill_plan(_signature(system), tuple(mesh.npts), request)
 
     full: dict[str, np.ndarray] = {}
     for comp in comps:
@@ -307,55 +349,29 @@ def goursat_solve(
         static = tuple(slice(None) if d in comp.static else 0 for d in range(mesh.M))
         full[comp.name][static] = np.broadcast_to(np.asarray(arr, dtype=float), stat_shape + comp.shape)
 
-    order = {name: k for k, name in enumerate(names)}
-    for sites in levels[1:]:
+    flat = {comp.name: full[comp.name].reshape((-1,) + comp.shape) for comp in comps}
+    for steps in plan:
         failures = []
-        for j in range(mesh.M):
-            produced = [name for name in names if (j, name) in pull]
-            has = sites[:, j] > 0
-            if not produced or not has.any():
-                continue
-            dst = sites[has]
-            src = dst.copy()
-            src[:, j] -= 1
-            src_idx = tuple(src.T)
-            flags = np.stack([pull[(j, name)][src_idx] for name in produced], axis=1)
-            patterns, group = np.unique(flags, axis=0, return_inverse=True)
-            for g, pattern in enumerate(patterns):
-                if not pattern.any():
-                    continue
-                outputs = tuple(sorted(name for name, on in zip(produced, pattern) if on))
-                rows = np.flatnonzero(group.ravel() == g)
-                failed = _fill(system, j, outputs, src[rows], dst[rows], full, mesh.eps)
-                if failed is not None:
-                    row, exc = failed
-                    site_pos = int(np.flatnonzero(has)[rows[row]])
-                    failures.append(((site_pos, min(order[n] for n in outputs)), src[rows[row]], j, exc))
+        for j, outputs, src, dst, pos, rank in steps:
+            calls = [(src, dst)] if system.batched else zip(src.tolist(), dst.tolist())
+            for k, (s, d) in enumerate(calls):
+                try:
+                    out = system.step(j, {name: vals[s] for name, vals in flat.items()}, mesh.eps,
+                                      outputs=outputs)
+                except Exception as exc:
+                    # a batched call that fails outside a gate is charged to its first row
+                    row = (getattr(exc, "row", None) or 0) if system.batched else k
+                    failures.append(((int(pos[row]), rank), int(src[row]), j, exc))
+                    break
+                for name in outputs:
+                    flat[name][d] = out[name]
         if failures:
             _, src, j, exc = min(failures, key=lambda f: f[0])
             if isinstance(exc, DomainViolation):
                 raise exc
-            raise DomainViolation(mesh.coords(src.tolist()), j, exc) from exc
+            site = [int(i) for i in np.unravel_index(src, mesh.shape)]
+            raise DomainViolation(mesh.coords(site), j, exc) from exc
     return {name: LatticeField(mesh, arr) for name, arr in full.items()}
-
-
-def _fill(system, j, outputs, src, dst, full, eps):
-    """Step the source sites `src` in direction j and write `outputs` at `dst`.
-
-    Returns None, or (row, exception) for the first failing row."""
-    if system.batched:
-        calls = [(tuple(src.T), tuple(dst.T))]
-    else:
-        calls = [(tuple(s), tuple(d)) for s, d in zip(src.tolist(), dst.tolist())]
-    for k, (src_idx, dst_idx) in enumerate(calls):
-        try:
-            out = system.step(j, {name: vals[src_idx] for name, vals in full.items()}, eps, outputs=outputs)
-        except Exception as exc:
-            # a batched call that fails outside a gate is charged to its first row
-            return (getattr(exc, "row", None) or 0) if system.batched else k, exc
-        for name in outputs:
-            full[name][dst_idx] = out[name]
-    return None
 
 
 def consistency_residual(

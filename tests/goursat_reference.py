@@ -1,0 +1,151 @@
+"""Test-only reference: the per-call Goursat driver that the compiled fill plan replaced.
+
+`goursat_solve` and `_fill` below are the driver as it was before the plan:
+demand marking, producer directions and `np.unique` grouping re-derived on
+every call.  The differential tests in test_goursat_plan.py hold the planned
+driver to bitwise-equal fields, nan patterns, step-call sequences and
+`DomainViolation` reports against it.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
+
+from dlame.errors import DomainViolation
+from dlame.lattice import HyperbolicSystem, LatticeField, MeshSpec
+
+
+def _producer_dirs(sites: np.ndarray, evolution: tuple[int, ...]) -> np.ndarray:
+    """Per site, the lowest evolution direction with a positive index (-1 on
+    the component's static subspace, where Goursat data live)."""
+    out = np.full(len(sites), -1)
+    for j in reversed(evolution):
+        out[sites[:, j] > 0] = j
+    return out
+
+
+def goursat_solve(
+    system: HyperbolicSystem,
+    mesh: MeshSpec,
+    data: Mapping[str, np.ndarray | Callable],
+    request: Sequence[str] | None = None,
+) -> dict[str, LatticeField]:
+    """Fill the box from Goursat data on the static subspaces.
+
+    data[name] is an array indexed by the static directions of the component
+    (in increasing direction order), with the component's value shape trailing;
+    scalars are broadcast.  Values are produced by pulling each unknown from
+    the lowest evolution direction with a positive coordinate, so the output
+    does not depend on the site enumeration order.  Every value on level
+    sum(idx) = k is read from level k - 1 only, so a level is filled by one
+    step call per (direction, set of output components), batched over its
+    source sites when the system is `batched`, one site per call otherwise.
+
+    A step rule that raises is reported as DomainViolation carrying the
+    source site (plain-float coordinates), the step direction and the cause
+    of the first failure in fill order: sites in `MeshSpec.levels()` order,
+    components in declaration order within a site.
+
+    The solve is demand driven: when `request` names a subset of components,
+    only the values those components transitively read (through the declared
+    read sets) are computed; everything else stays nan.  This matters for
+    transform layers, where the box contains sites whose would-be values
+    describe a further transform that no requested output depends on.
+    """
+    if mesh.M != system.M:
+        raise ValueError("mesh dimension does not match the system")
+    comps = system.components
+    names = [c.name for c in comps]
+    if request is not None:
+        unknown = set(request) - set(names)
+        if unknown:
+            raise ValueError(f"requested unknown components {sorted(unknown)}")
+    evolutions = {c.name: c.evolution(mesh.M) for c in comps}
+    levels = [np.array(sites, dtype=int).reshape(-1, mesh.M) for sites in mesh.levels()]
+
+    # backward dependency marking: pull[(j, name)] flags the source sites whose
+    # step in direction j must produce `name`; an undeclared read set is taken
+    # as "reads all"
+    marked = {c.name: np.full(mesh.shape, request is None or c.name in request) for c in comps}
+    pull = {(j, c.name): np.zeros(mesh.shape, dtype=bool) for c in comps for j in evolutions[c.name]}
+    for sites in reversed(levels[1:]):
+        idx = tuple(sites.T)
+        for comp in comps:
+            evo = evolutions[comp.name]
+            if not evo:
+                continue
+            need = marked[comp.name][idx]
+            producer = _producer_dirs(sites, evo)
+            for j in evo:
+                rows = need & (producer == j)
+                if not rows.any():
+                    continue
+                src = sites[rows]
+                src[:, j] -= 1
+                src_idx = tuple(src.T)
+                pull[(j, comp.name)][src_idx] = True
+                reads = comp.reads.get(j)
+                for name in reads if reads is not None else names:
+                    marked[name][src_idx] = True
+
+    full: dict[str, np.ndarray] = {}
+    for comp in comps:
+        full[comp.name] = np.full(mesh.shape + comp.shape, np.nan)
+        arr = data[comp.name]
+        stat_shape = tuple(mesh.npts[d] for d in comp.static)
+        if callable(arr):
+            raise TypeError("callable data not supported; sample it on the static subspace")
+        static = tuple(slice(None) if d in comp.static else 0 for d in range(mesh.M))
+        full[comp.name][static] = np.broadcast_to(np.asarray(arr, dtype=float), stat_shape + comp.shape)
+
+    order = {name: k for k, name in enumerate(names)}
+    for sites in levels[1:]:
+        failures = []
+        for j in range(mesh.M):
+            produced = [name for name in names if (j, name) in pull]
+            has = sites[:, j] > 0
+            if not produced or not has.any():
+                continue
+            dst = sites[has]
+            src = dst.copy()
+            src[:, j] -= 1
+            src_idx = tuple(src.T)
+            flags = np.stack([pull[(j, name)][src_idx] for name in produced], axis=1)
+            patterns, group = np.unique(flags, axis=0, return_inverse=True)
+            for g, pattern in enumerate(patterns):
+                if not pattern.any():
+                    continue
+                outputs = tuple(sorted(name for name, on in zip(produced, pattern) if on))
+                rows = np.flatnonzero(group.ravel() == g)
+                failed = _fill(system, j, outputs, src[rows], dst[rows], full, mesh.eps)
+                if failed is not None:
+                    row, exc = failed
+                    site_pos = int(np.flatnonzero(has)[rows[row]])
+                    failures.append(((site_pos, min(order[n] for n in outputs)), src[rows[row]], j, exc))
+        if failures:
+            _, src, j, exc = min(failures, key=lambda f: f[0])
+            if isinstance(exc, DomainViolation):
+                raise exc
+            raise DomainViolation(mesh.coords(src.tolist()), j, exc) from exc
+    return {name: LatticeField(mesh, arr) for name, arr in full.items()}
+
+
+def _fill(system, j, outputs, src, dst, full, eps):
+    """Step the source sites `src` in direction j and write `outputs` at `dst`.
+
+    Returns None, or (row, exception) for the first failing row."""
+    if system.batched:
+        calls = [(tuple(src.T), tuple(dst.T))]
+    else:
+        calls = [(tuple(s), tuple(d)) for s, d in zip(src.tolist(), dst.tolist())]
+    for k, (src_idx, dst_idx) in enumerate(calls):
+        try:
+            out = system.step(j, {name: vals[src_idx] for name, vals in full.items()}, eps, outputs=outputs)
+        except Exception as exc:
+            # a batched call that fails outside a gate is charged to its first row
+            return (getattr(exc, "row", None) or 0) if system.batched else k, exc
+        for name in outputs:
+            full[name][dst_idx] = out[name]
+    return None

@@ -14,6 +14,7 @@ from dlame.lattice import (
     HyperbolicSystem,
     LatticeField,
     MeshSpec,
+    _fill_plan,
     cl_norm,
     consistency_residual,
     goursat_solve,
@@ -249,12 +250,21 @@ class TestFillOrderInvariance:
         plain = goursat_solve(system, mesh, {"u": u0})
 
         original = MeshSpec.levels
+        patched_calls = []
 
         def reversed_levels(self):
+            patched_calls.append(self.npts)
             return [list(reversed(sites)) for sites in original(self)]
 
         monkeypatch.setattr(MeshSpec, "levels", reversed_levels)
-        flipped = goursat_solve(system, mesh, {"u": u0})
+        # the fill plan caches its site order: without a fresh plan the second
+        # solve would reuse the first one's and compare nothing
+        _fill_plan.cache_clear()
+        try:
+            flipped = goursat_solve(system, mesh, {"u": u0})
+        finally:
+            _fill_plan.cache_clear()
+        assert patched_calls == [mesh.npts]
         assert np.array_equal(plain["u"].values, flipped["u"].values)
 
 
