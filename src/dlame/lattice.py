@@ -275,23 +275,22 @@ def _fill_plan(signature: tuple, npts: tuple[int, ...], request: tuple[str, ...]
     seq = np.concatenate(levels)
     level = np.repeat(np.arange(len(levels)), [len(sites) for sites in levels])
     pos = np.concatenate([np.arange(len(sites)) for sites in levels])
-    # an output set as a bit pattern, first component most significant, so
-    # sets come in the lexicographic order of their flag rows
-    bits = 1 << np.arange(len(names) - 1, -1, -1)
     plan: list[list[tuple]] = [[] for _ in levels]
     for j in range(M):
-        pattern = bits @ ((producer[:, seq] == j) & need[:, seq])
-        order = np.lexsort((pattern, level))
-        order = order[pattern[order] > 0]
-        dst, lev, pat, at = seq[order], level[order], pattern[order], pos[order]
+        # one group per (level, output set); sets sort like np.unique's rows
+        flags = (producer[:, seq] == j) & need[:, seq]
+        order = np.lexsort((*flags[::-1], level))
+        order = order[flags[:, order].any(axis=0)]
+        dst, lev, on, at = seq[order], level[order], flags[:, order], pos[order]
         src = dst - strides[j]
         for a in (src, dst, at):
             a.flags.writeable = False
-        starts = np.flatnonzero(np.diff(lev, prepend=-1) | np.diff(pat, prepend=-1))
+        changed = (on != np.roll(on, 1, axis=1)).any(axis=0)  # set differs from the previous one
+        starts = np.flatnonzero(np.diff(lev, prepend=-1) | changed)
         for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(dst)]):
-            on = [c for c in range(len(names)) if pat[lo] & bits[c]]
-            plan[lev[lo]].append((j, tuple(sorted(names[c] for c in on)),
-                                  src[lo:hi], dst[lo:hi], at[lo:hi], min(on)))
+            comps = np.flatnonzero(on[:, lo]).tolist()
+            plan[lev[lo]].append((j, tuple(sorted(names[c] for c in comps)),
+                                  src[lo:hi], dst[lo:hi], at[lo:hi], comps[0]))
     return tuple(tuple(steps) for steps in plan)
 
 

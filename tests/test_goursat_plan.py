@@ -94,6 +94,27 @@ class ThreeGate(SiteGate):
         return {name: np.asarray(vals[name]) + np.eye(2)[j] for name in outputs}
 
 
+class Wide(HyperbolicSystem):
+    """70 scalar components, more than a 64-bit word has bits, so an output
+    set cannot be encoded as one integer.  Every third is static in direction
+    0; a rule reads its own component and, where the closure condition
+    allows, its successor."""
+
+    batched = True
+
+    def __init__(self, n=70):
+        names = [f"u{k:02d}" for k in range(n)]
+        static = [(0,) if k % 3 == 0 else () for k in range(n)]
+        self.reads = {(name, j): (name,) if j and not static[k] else (name, names[(k + 1) % n])
+                      for k, name in enumerate(names) for j in (0, 1) if j or not static[k]}
+        HyperbolicSystem.__init__(self, 2, [
+            Component(name, (), static[k], {j: self.reads[name, j] for j in (0, 1) if (name, j) in self.reads})
+            for k, name in enumerate(names)])
+
+    def step(self, j, vals, eps, outputs=None):
+        return {name: 0.9 * vals[name] + 0.1 * vals[self.reads[name, j][-1]] + j + 1.0 for name in outputs}
+
+
 class TestAgainstReferenceDriver:
     def test_scalar_linear_system(self, rng):
         A = [0.3 * np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[0.1, 0.4], [0.0, 0.2]]),
@@ -125,6 +146,29 @@ class TestAgainstReferenceDriver:
         assert not np.isnan(full["c1_2"].values).any()
         assert np.isnan(part["c1_2"].values).any()
         assert full["x"].values.tobytes() == part["x"].values.tobytes()
+
+    def test_more_components_than_int64_bits(self, rng):
+        system = Wide()
+        mesh = MeshSpec(eps=(0.5, 0.25), npts=(4, 5))
+        data = {c.name: rng.normal(size=mesh.npts[0] if c.static else ()) for c in system.components}
+        for request in (None, ("u00",), ("u69", "u01"), ("u02", "u65")):
+            out = solve_both(system, mesh, data, request)
+            assert not any(np.isnan(out[name].values).any() for name in request or out)
+
+    def test_eight_direction_conjugate_net(self, rng):
+        # M^2 + 1 = 65 components on a (2,) * 8 box
+        mesh = MeshSpec(eps=(0.1,) * 8, npts=(2,) * 8)
+        w_axis = {i: np.eye(8)[i] + 0.05 * rng.normal(size=(2, 8)) for i in range(8)}
+        c_data = {(i, j): rng.uniform(-0.1, 0.1, (2, 2)) for i, j in itertools.permutations(range(8), 2)}
+        solves = []
+        for request in (None, ("x",)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(conjugate, "goursat_solve",
+                           lambda s, m, d, request=None: solves.append(solve_both(s, m, d, request)))
+                solve_conjugate_net(mesh, rng.normal(size=8), w_axis, c_data, N=8, request=request)
+        full, part = solves
+        assert not any(np.isnan(f.values).any() for f in full.values())
+        assert not np.isnan(part["x"].values).any()
 
     def test_conjugate_tail_direction(self, differential):
         # orthosys assembly (frame surfaces, requested x) plus the tail-direction
