@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -47,11 +48,15 @@ def parse_eps_list(text: str) -> list[float]:
     return eps
 
 
-def make_oracle(name: str):
+def make_oracle(name: str, n: int | None = None):
+    """The named oracle; n, when given, is the dimension the command needs."""
     table = {"elliptic": EllipticOracle, "spherical": SphericalOracle, "flat": FlatOracle}
     if name not in table:
         raise ConfigError(f"unknown oracle {name!r} (choose from {sorted(table)})")
-    return table[name]()
+    oracle = table[name]()
+    if n is not None and oracle.n != n:
+        raise ConfigError(f"this command needs a {n}-dimensional oracle; {name!r} is {oracle.n}-dimensional")
+    return oracle
 
 
 def make_curve(spec: str):
@@ -165,9 +170,7 @@ def run(args) -> int:
     if getattr(args, "lmax", 0) < 0:
         raise ConfigError(f"--lmax must be non-negative, got {args.lmax}")
     if args.command == "csurface":
-        oracle = make_oracle(args.oracle)
-        if oracle.n != 2:
-            raise ConfigError("surface command needs a planar oracle")
+        oracle = make_oracle(args.oracle, 2)
         eps = parse_eps(args.eps)
         data = csurface_data_from_oracle(oracle, eps, args.r, stagger=args.stagger, r2=args.r2)
         res = csurface_solve(data)
@@ -180,9 +183,7 @@ def run(args) -> int:
         _export(args, x, (eps,) * (x.ndim - 1))
         return 0
     if args.command == "orthosys":
-        oracle = make_oracle(args.oracle)
-        if oracle.n != 3:
-            raise ConfigError("orthosys command needs a three-dimensional oracle")
+        oracle = make_oracle(args.oracle, 3)
         eps = parse_eps(args.eps)
         res = orthosys_assemble(oracle.surface_spec(eps, args.r))
         _export(args, res.x, (eps,) * 3)
@@ -201,7 +202,7 @@ def run(args) -> int:
         _export(args, res.x, (eps, 1.0))
         return 0
     if args.command == "sweep":
-        oracle = make_oracle(args.oracle)
+        oracle = make_oracle(args.oracle, 2 if args.problem == "csurface" else 3)
         eps_list = parse_eps_list(args.eps_list)
         report = run_sweep(args.problem, oracle, eps_list, args.r,
                            l_max=args.lmax, stagger=args.stagger)
@@ -219,36 +220,24 @@ def run(args) -> int:
 
 def _conjugate_from_oracle(oracle, eps, r):
     """Conjugate net with coefficients c_ij = h_i beta_ij / h_j from the oracle."""
+    n = oracle.n
     npts = mesh_points(r, eps)
     t = np.arange(npts + 1) * eps
-    if oracle.n == 2:
-        mesh = MeshSpec((eps, eps), (npts, npts))
-        X1 = oracle.F(t, 0.0)
-        X2 = oracle.F(0.0, t)
-        w_axis = {0: (X1[1:] - X1[:-1])[:npts] / eps, 1: (X2[1:] - X2[:-1])[:npts] / eps}
-        tg = t[:npts]
-        g1, g2 = np.meshgrid(tg, tg, indexing="ij")
-        c_data = {(0, 1): oracle.c12(g1, g2), (1, 0): oracle.c21(g1, g2)}
-        fields = solve_conjugate_net(mesh, oracle.F(0.0, 0.0), w_axis, c_data, N=2, request=("x",))
-        return fields["x"].values
-    mesh = MeshSpec((eps,) * 3, (npts,) * 3)
     w_axis = {}
-    zeros = np.zeros(npts + 1)
-    for a in range(3):
-        xi = [zeros, zeros, zeros]
+    for a in range(n):
+        xi = [np.zeros_like(t)] * n
         xi[a] = t
         X = oracle.F(*xi)
         w_axis[a] = (X[1:] - X[:-1])[:npts] / eps
-    tg = t[:npts]
-    g1, g2 = np.meshgrid(tg, tg, indexing="ij")
-    zz = np.zeros_like(g1)
+    g1, g2 = np.meshgrid(t[:npts], t[:npts], indexing="ij")
     c_data = {}
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        xi = [zz, zz, zz]
+    for a, b in itertools.combinations(range(n), 2):
+        xi = [np.zeros_like(g1)] * n
         xi[a], xi[b] = g1, g2
         c_data[(a, b)] = np.broadcast_to(oracle.c_ij(a + 1, b + 1, *xi), g1.shape).astype(float)
         c_data[(b, a)] = np.broadcast_to(oracle.c_ij(b + 1, a + 1, *xi), g1.shape).astype(float)
-    fields = solve_conjugate_net(mesh, oracle.F(0.0, 0.0, 0.0), w_axis, c_data, N=3, request=("x",))
+    mesh = MeshSpec((eps,) * n, (npts,) * n)
+    fields = solve_conjugate_net(mesh, oracle.F(*[0.0] * n), w_axis, c_data, N=n, request=("x",))
     return fields["x"].values
 
 

@@ -80,13 +80,10 @@ class Algebra:
         object.__setattr__(self, "_sign", sign)
         object.__setattr__(self, "_grades", grades)
         object.__setattr__(self, "_rev", np.where(grades * (grades - 1) // 2 % 2, -1.0, 1.0))
-        if size <= 64:
-            cols = np.arange(size)
-            left_idx = cols[:, None] ^ cols[None, :]
-            object.__setattr__(self, "_left_idx", left_idx)
-            object.__setattr__(self, "_left_sign", sign[left_idx, cols[None, :]])
-        else:
-            object.__setattr__(self, "_left_idx", None)
+        cols = np.arange(size)
+        left_idx = cols[:, None] ^ cols[None, :]
+        object.__setattr__(self, "_left_idx", left_idx)
+        object.__setattr__(self, "_left_sign", sign[left_idx, cols[None, :]])
         vec_idx = np.array([1 << k for k in range(d)])
         object.__setattr__(self, "_vec_idx", vec_idx)
         metric = np.ones(d)
@@ -119,23 +116,12 @@ class Algebra:
         return mv[..., self._vec_idx]
 
     def geometric_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Geometric product; broadcasts over leading axes."""
+        """Geometric product; broadcasts over leading axes.
+
+        (a b)[k] = sum_j L(a)[k, j] b[j] with the left-multiplication table
+        L(a)[k, j] = a[k ^ j] sign[k ^ j, j]."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        if self._left_idx is not None:
-            return self._table_product(a, b)
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
-        cols = np.arange(self.size)
-        for blade in range(self.size):
-            coeff = a[..., blade]
-            if not np.any(coeff):
-                continue
-            out[..., blade ^ cols] += coeff[..., None] * self._sign[blade] * b
-        return out
-
-    def _table_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(a b)[k] = sum_j L(a)[k, j] b[j] with the left-multiplication table
-        L(a)[k, j] = a[k ^ j] sign[k ^ j, j]."""
         return np.einsum("...kj,kj,...j->...k", a[..., self._left_idx], self._left_sign, b)
 
     def reverse(self, mv: np.ndarray) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 Each oracle evaluates the map F on lattice coordinates (an interior offset
 keeps the runs away from coordinate singularities) together with the closed
-forms of its metric coefficients h_i, rotation coefficients beta_ij and the
-splitting field needed by the surface solver.
+forms of its metric coefficients h_i, rotation coefficients beta_ki and the
+splitting fields gamma_ij needed by the surface solver.  Every oracle speaks
+the same n-dimensional protocol with 1-based labels: `F(*xi)`, `h_i(i, *xi)`,
+`beta(k, i, *xi)`, `gamma_ij(i, j, xi_i, xi_j)`, `c_ij(i, j, *xi)` and
+`curve(i)`; `axis_data` and `start_frame` sample the Goursat data from it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .clifford import algebra
 from .curves import SmoothCurve
 from .errors import SingularPoint
 from .lattice import mesh_points
-from .orthogonal import CurveData, OrthoSurfaceSpec, suited_frame
+from .orthogonal import CSurfaceData, CurveData, OrthoSurfaceSpec, suited_frame
 
 __all__ = ["EllipticOracle", "SphericalOracle", "FlatOracle"]
 
@@ -39,32 +42,28 @@ class EllipticOracle:
         u1, u2 = self._u(xi1, xi2)
         return np.stack([np.cosh(u1) * np.cos(u2), np.sinh(u1) * np.sin(u2)], axis=-1)
 
-    def h(self, xi1, xi2):
+    def h_i(self, i, xi1, xi2):
+        # conformal: h_1 = h_2
         u1, u2 = self._u(xi1, xi2)
         hsq = np.sinh(u1) ** 2 + np.sin(u2) ** 2
         if np.any(hsq < 1e-24):
             raise SingularPoint("elliptic coordinates are singular at the foci")
         return np.sqrt(hsq)
 
-    def beta12(self, xi1, xi2):
+    def beta(self, k, i, xi1, xi2):
+        """Rotation coefficient beta_{ki} (d_i v_k = beta_{ki} v_i), k != i."""
         u1, u2 = self._u(xi1, xi2)
-        return np.sinh(2.0 * u1) / (2.0 * self.h(xi1, xi2) ** 2)
+        num = np.sinh(2.0 * u1) if (k, i) == (1, 2) else np.sin(2.0 * u2)
+        return num / (2.0 * self.h_i(1, xi1, xi2) ** 2)
 
-    def beta21(self, xi1, xi2):
-        u1, u2 = self._u(xi1, xi2)
-        return np.sin(2.0 * u2) / (2.0 * self.h(xi1, xi2) ** 2)
+    def gamma_ij(self, i, j, xi_i, xi_j):
+        # equals d1 beta_12 = -d2 beta_21 for this conformal net
+        u1, u2 = self._u(xi_i, xi_j)
+        return (1.0 - np.cosh(2.0 * u1) * np.cos(2.0 * u2)) / (2.0 * self.h_i(1, xi_i, xi_j) ** 4)
 
-    def gamma(self, xi1, xi2):
-        # equals d1 beta12 = -d2 beta21 for this conformal net
-        u1, u2 = self._u(xi1, xi2)
-        return (1.0 - np.cosh(2.0 * u1) * np.cos(2.0 * u2)) / (2.0 * self.h(xi1, xi2) ** 4)
-
-    # conjugate-net coefficients c_ij = h_i beta_ij / h_j; here h_1 = h_2
-    def c12(self, xi1, xi2):
-        return self.beta12(xi1, xi2)
-
-    def c21(self, xi1, xi2):
-        return self.beta21(xi1, xi2)
+    def c_ij(self, i, j, xi1, xi2):
+        # c_ij = h_i beta_ij / h_j = beta_ij, as h_1 = h_2
+        return self.beta(i, j, xi1, xi2)
 
     def curve(self, axis: int) -> SmoothCurve:
         o1, o2 = self.offset
@@ -201,40 +200,13 @@ class SphericalOracle:
 
     def surface_spec(self, eps: float, r: float, stagger: bool = False) -> OrthoSurfaceSpec:
         """Closed-form axis data and splitting fields on an extended box."""
-        alg = algebra(3)
         npts = mesh_points(r, eps) + 1   # one spare site
         t = np.arange(npts) * eps + (eps / 2.0 if stagger else 0.0)
-        zeros = np.zeros_like(t)
-
-        def on_axis(i, arr_t):
-            xi = [zeros, zeros, zeros]
-            xi[i - 1] = arr_t
-            return xi
-
-        axis = {}
-        for i in (1, 2, 3):
-            xi = on_axis(i, t)
-            h = np.broadcast_to(self.h_i(i, *xi), t.shape).astype(float)
-            beta = np.zeros((npts, 3))
-            for k in (1, 2, 3):
-                if k == i:
-                    continue
-                beta[:, k - 1] = np.broadcast_to(self.beta(k, i, *xi), t.shape)
-            axis[i] = CurveData(t.copy(), h, beta)
-
-        gamma = {}
-        for (i, j) in ((1, 2), (1, 3), (2, 3)):
-            ti, tj = np.meshgrid(t, t, indexing="ij")
-            gamma[(i, j)] = self.gamma_ij(i, j, ti, tj)
-
-        x0 = self.F(0.0, 0.0, 0.0)
-        tangents = []
-        for i in (1, 2, 3):
-            c = self.curve(i)
-            d = c.dx(0.0)
-            tangents.append(d / np.linalg.norm(d))
-        psi0 = suited_frame(algebra(3), x0, tangents)
-        return OrthoSurfaceSpec(alg, psi0, eps, npts, axis, gamma, x0)
+        ti, tj = np.meshgrid(t, t, indexing="ij")
+        axis = {i: axis_data(self, i, t) for i in (1, 2, 3)}
+        gamma = {(i, j): self.gamma_ij(i, j, ti, tj) for (i, j) in ((1, 2), (1, 3), (2, 3))}
+        x0, psi0 = start_frame(self)
+        return OrthoSurfaceSpec(algebra(3), psi0, eps, npts, axis, gamma, x0)
 
 
 @dataclass(frozen=True)
@@ -245,53 +217,54 @@ class FlatOracle:
     offset: tuple = ()
 
     def F(self, *xi):
-        return np.stack([np.asarray(x, dtype=float) for x in xi], axis=-1)
+        return np.stack(np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xi)), axis=-1)
 
-    def h(self, *xi):
+    def h_i(self, i, *xi):
         return np.ones(np.broadcast_shapes(*(np.shape(x) for x in xi)))
 
-    def beta12(self, *xi):
+    def beta(self, k, i, *xi):
         return np.zeros(np.broadcast_shapes(*(np.shape(x) for x in xi)))
 
-    beta21 = beta12
-    gamma = beta12
-    c12 = beta12
-    c21 = beta12
+    gamma_ij = beta
+    c_ij = beta
 
     def curve(self, axis: int) -> SmoothCurve:
         d = np.eye(self.n)[axis - 1]
         return SmoothCurve(self.n, lambda t: t * d, lambda t: d.copy(), lambda t: np.zeros(self.n))
 
 
-def csurface_data_from_oracle(oracle, eps: float, r: float, stagger: bool = False,
-                              extra: int = 0, r2: float | None = None):
-    """Goursat data of the surface solve for a planar (N = 2) oracle."""
-    from .orthogonal import CSurfaceData
+def axis_data(oracle, i: int, t: np.ndarray) -> CurveData:
+    """h_i and beta_ki (k != i) along coordinate axis i at the parameters t,
+    the other coordinates held at 0."""
+    xi = [np.zeros_like(t)] * oracle.n
+    xi[i - 1] = t
+    beta = np.zeros((len(t), oracle.n))
+    for k in range(1, oracle.n + 1):
+        if k != i:
+            beta[:, k - 1] = oracle.beta(k, i, *xi)
+    return CurveData(t.copy(), np.broadcast_to(oracle.h_i(i, *xi), t.shape).astype(float), beta)
 
-    alg = algebra(2)
-    n1 = mesh_points(r, eps) + extra
-    n2 = n1 if r2 is None else mesh_points(r2, eps) + extra
-    shift = eps / 2.0 if stagger else 0.0
-    t1 = np.arange(n1) * eps + shift
-    t2 = np.arange(n2) * eps + shift
 
-    h1 = np.broadcast_to(oracle.h(t1, 0.0), t1.shape).astype(float)
-    b1 = np.zeros((n1, 2))
-    b1[:, 1] = oracle.beta21(t1, 0.0)
-    h2 = np.broadcast_to(oracle.h(0.0, t2), t2.shape).astype(float)
-    b2 = np.zeros((n2, 2))
-    b2[:, 0] = oracle.beta12(0.0, t2)
-    g1, g2 = np.meshgrid(t1, t2, indexing="ij")
-    gam = np.broadcast_to(oracle.gamma(g1, g2), (n1, n2)).astype(float)
-
-    x0 = oracle.F(0.0, 0.0)
+def start_frame(oracle) -> tuple[np.ndarray, np.ndarray]:
+    """Point F(0) and the frame there suited to the unit tangents of the coordinate curves."""
+    x0 = oracle.F(*[0.0] * oracle.n)
     tangents = []
-    for axis in (1, 2):
-        d = oracle.curve(axis).dx(0.0)
+    for i in range(1, oracle.n + 1):
+        d = oracle.curve(i).dx(0.0)
         tangents.append(d / np.linalg.norm(d))
-    psi0 = suited_frame(alg, x0, tangents)
-    return CSurfaceData(
-        alg=alg, psi0=psi0, eps=(eps, eps), npts=(n1, n2), dirs=(1, 2),
-        h1=h1, b1=b1, h2=h2, b2=b2, split=gam, splitting="gamma",
-    )
+    return x0, suited_frame(algebra(oracle.n), x0, tangents)
 
+
+def csurface_data_from_oracle(oracle, eps: float, r: float, stagger: bool = False, r2: float | None = None):
+    """Goursat data of the surface solve for a planar (N = 2) oracle."""
+    shift = eps / 2.0 if stagger else 0.0
+    t1 = np.arange(mesh_points(r, eps)) * eps + shift
+    t2 = t1 if r2 is None else np.arange(mesh_points(r2, eps)) * eps + shift
+    a1, a2 = axis_data(oracle, 1, t1), axis_data(oracle, 2, t2)
+    g1, g2 = np.meshgrid(t1, t2, indexing="ij")
+    gam = np.broadcast_to(oracle.gamma_ij(1, 2, g1, g2), g1.shape).astype(float)
+    _, psi0 = start_frame(oracle)
+    return CSurfaceData(
+        alg=algebra(2), psi0=psi0, eps=(eps, eps), npts=(len(t1), len(t2)), dirs=(1, 2),
+        h1=a1.h, b1=a1.beta, h2=a2.h, b2=a2.beta, split=gam, splitting="gamma",
+    )

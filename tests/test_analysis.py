@@ -12,17 +12,17 @@ class TestEllipticOracle:
         # offset zero, evaluated at (0, pi/2): the net point sits at the origin
         oracle = EllipticOracle(offset=(0.0, 0.0))
         assert np.allclose(oracle.F(0.0, np.pi / 2), [0.0, 0.0])
-        assert abs(oracle.h(0.0, np.pi / 2) - 1.0) < 1e-15
-        assert abs(oracle.beta12(0.0, np.pi / 2)) < 1e-15
-        assert abs(oracle.beta21(0.0, np.pi / 2)) < 1e-15
+        assert abs(oracle.h_i(1, 0.0, np.pi / 2) - 1.0) < 1e-15
+        assert abs(oracle.beta(1, 2, 0.0, np.pi / 2)) < 1e-15
+        assert abs(oracle.beta(2, 1, 0.0, np.pi / 2)) < 1e-15
         # gamma equals d1 beta12 there, which evaluates to 1 (see the
         # finite-difference cross-check below)
-        assert abs(oracle.gamma(0.0, np.pi / 2) - 1.0) < 1e-14
+        assert abs(oracle.gamma_ij(1, 2, 0.0, np.pi / 2) - 1.0) < 1e-14
 
     def test_focus_is_singular(self):
         oracle = EllipticOracle(offset=(0.0, 0.0))
         with pytest.raises(SingularPoint):
-            oracle.h(0.0, 0.0)
+            oracle.h_i(1, 0.0, 0.0)
 
     def test_conformality_by_finite_differences(self, rng):
         oracle = EllipticOracle()
@@ -31,7 +31,7 @@ class TestEllipticOracle:
             u, v = rng.uniform(0.1, 1.5, 2)
             d1F = (oracle.F(u + d, v) - oracle.F(u - d, v)) / (2 * d)
             d2F = (oracle.F(u, v + d) - oracle.F(u, v - d)) / (2 * d)
-            h = oracle.h(u, v)
+            h = oracle.h_i(1, u, v)
             assert abs(np.dot(d1F, d2F)) < 1e-7
             assert abs(np.linalg.norm(d1F) - h) < 1e-7
             assert abs(np.linalg.norm(d2F) - h) < 1e-7
@@ -43,9 +43,9 @@ class TestEllipticOracle:
         d = 1e-4
         for _ in range(20):
             u, v = rng.uniform(0.2, 1.4, 2)
-            d1b12 = (oracle.beta12(u + d, v) - oracle.beta12(u - d, v)) / (2 * d)
-            d2b21 = (oracle.beta21(u, v + d) - oracle.beta21(u, v - d)) / (2 * d)
-            g = oracle.gamma(u, v)
+            d1b12 = (oracle.beta(1, 2, u + d, v) - oracle.beta(1, 2, u - d, v)) / (2 * d)
+            d2b21 = (oracle.beta(2, 1, u, v + d) - oracle.beta(2, 1, u, v - d)) / (2 * d)
+            g = oracle.gamma_ij(1, 2, u, v)
             assert abs(d1b12 - g) < 1e-6
             assert abs(d2b21 + g) < 1e-6
 

@@ -9,6 +9,7 @@ import pytest
 from dlame.cli import main, parse_eps, parse_eps_list
 from dlame.errors import ConfigError, NonPlanarExport
 from dlame.io import circle_records, read_csv, write_csv, write_svg
+from dlame.lattice import mesh_points
 
 
 class TestParsing:
@@ -56,6 +57,38 @@ class TestExitCodes:
         rc = main(["csurface", "--oracle", "elliptic", "--eps", "pi/10",
                    "--r", "1.0", "--csv", str(out)])
         assert rc == 0 and out.exists()
+
+
+class TestOracleDimension:
+    # command line and the oracle dimension it needs (None: any)
+    COMMANDS = {
+        "csurface": (["csurface", "--eps", "pi/10", "--r", "0.6"], 2),
+        "conjugate": (["conjugate", "--eps", "0.1", "--r", "0.3"], None),
+        "orthosys": (["orthosys", "--eps", "0.1", "--r", "0.3"], 3),
+        "sweep-csurface": (["sweep", "--problem", "csurface", "--eps-list", "pi/10,pi/20,pi/40",
+                            "--r", "0.6", "--lmax", "0"], 2),
+        "sweep-orthosys": (["sweep", "--problem", "orthosys", "--eps-list", "0.2,0.1,0.05",
+                            "--r", "0.4", "--lmax", "0"], 3),
+    }
+    DIMS = {"elliptic": 2, "spherical": 3, "flat": 2}
+
+    @pytest.mark.parametrize("oracle", sorted(DIMS))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exit_code_follows_dimension(self, command, oracle, capsys):
+        argv, n = self.COMMANDS[command]
+        ok = n is None or n == self.DIMS[oracle]
+        assert main(argv + ["--oracle", oracle]) == (0 if ok else 2)
+        if not ok:
+            assert f"needs a {n}-dimensional oracle" in capsys.readouterr().err
+
+    def test_flat_conjugate_reproduces_the_grid(self, tmp_path):
+        out = tmp_path / "flat.csv"
+        assert main(["conjugate", "--oracle", "flat", "--eps", "0.1", "--r", "0.5", "--csv", str(out)]) == 0
+        _, arr = read_csv(out)
+        t = np.arange(mesh_points(0.5, 0.1)) * 0.1
+        grid = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+        assert arr[:, 2:].shape == grid.shape
+        assert np.max(np.abs(arr[:, 2:] - grid)) <= 1e-14
 
 
 class TestExports:

@@ -55,6 +55,20 @@ class TestGeometricProduct:
         expected = ALG3.scalar(-2.0 * ALG3.lorentz_dot(u, v))
         assert np.max(np.abs(lhs - expected)) < 1e-12 * (1 + np.abs(u).max() * np.abs(v).max())
 
+    def test_five_dimensional_identities(self, rng):
+        # N = 5 (128 blades) runs the same left-multiplication tables as N <= 4
+        alg = algebra(5)
+        u, v = rng.normal(size=(2, 20, alg.dim))
+        um, vm = alg.vector(u), alg.vector(v)
+        lhs = alg.geometric_product(um, vm) + alg.geometric_product(vm, um)
+        expected = alg.vector(np.zeros((20, alg.dim)))
+        expected[:, 0] = -2.0 * alg.lorentz_dot(u, v)
+        assert np.max(np.abs(lhs - expected)) < 1e-12 * (1 + np.abs(u).max() * np.abs(v).max())
+        a, b, c = rng.normal(size=(3, 10, alg.size))
+        left = alg.geometric_product(alg.geometric_product(a, b), c)
+        right = alg.geometric_product(a, alg.geometric_product(b, c))
+        assert np.max(np.abs(left - right)) < 1e-10 * np.abs(left).max()
+
     def test_associative(self, rng):
         a, b, c = (rng.normal(size=ALG3.size) for _ in range(3))
         left = ALG3.geometric_product(ALG3.geometric_product(a, b), c)

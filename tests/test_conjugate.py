@@ -443,7 +443,7 @@ class TestGoursatNets:
         w = {0: (X1[1:] - X1[:-1])[:npts] / eps, 1: (X2[1:] - X2[:-1])[:npts] / eps}
         tg = t[:npts]
         g1, g2 = np.meshgrid(tg, tg, indexing="ij")
-        c = {(0, 1): oracle.c12(g1, g2), (1, 0): oracle.c21(g1, g2)}
+        c = {(0, 1): oracle.c_ij(1, 2, g1, g2), (1, 0): oracle.c_ij(2, 1, g1, g2)}
         mesh = MeshSpec.box(2, eps, r)
         return solve_conjugate_net(mesh, oracle.F(0.0, 0.0), w, c, N=2)["x"].values
 
@@ -475,7 +475,7 @@ class TestGoursatNets:
         w = {0: (X1[1:] - X1[:-1])[:npts] / eps, 1: (X2[1:] - X2[:-1])[:npts] / eps}
         tg = t[:npts]
         g1, g2 = np.meshgrid(tg, tg, indexing="ij")
-        c = {(0, 1): oracle.c12(g1, g2), (1, 0): oracle.c21(g1, g2)}
+        c = {(0, 1): oracle.c_ij(1, 2, g1, g2), (1, 0): oracle.c_ij(2, 1, g1, g2)}
         mesh = MeshSpec.box(2, eps, r)
         fields = solve_conjugate_net(mesh, oracle.F(0.0, 0.0), w, c, N=2)
         x = fields["x"].values

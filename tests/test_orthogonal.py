@@ -276,8 +276,8 @@ class TestReadOff:
         psi0 = suited_frame(ALG2, x0, [d1 / np.linalg.norm(d1), d2 / np.linalg.norm(d2)])
         t = np.linspace(0, 1.2, 13)
         data = read_off_curve(ALG2, curve, psi0, 1, t, substep=0.02)
-        assert np.max(np.abs(data.h - oracle.h(t, 0.0))) < 1e-9
-        assert np.max(np.abs(data.beta[:, 1] - oracle.beta21(t, 0.0))) < 1e-9
+        assert np.max(np.abs(data.h - oracle.h_i(1, t, 0.0))) < 1e-9
+        assert np.max(np.abs(data.beta[:, 1] - oracle.beta(2, 1, t, 0.0))) < 1e-9
 
     def test_elliptic_axis_is_straight(self):
         # on the first coordinate axis the curve is a straight segment:
