@@ -123,18 +123,18 @@ def curve_sweep(curve: SmoothCurve, eps_list, r, l_max=0) -> SweepReport:
     for eps in eps_list:
         dc = canonical_discretization(alg, curve, psi0, 1, eps, r)
         n = len(dc.points)
-        exact = np.stack([curve.x(k * eps) for k in range(n)])
+        exact = curve.x(np.arange(n) * eps)
         diff = LatticeField(MeshSpec((eps,), (n,)), dc.points - exact)
         for ell in range(l_max + 1):
             errors[ell].append(cl_norm(diff, ell))
     return SweepReport("curve", list(eps_list), errors)
 
 
-def orthosys_sweep(oracle, eps_list, r, l_max=0) -> SweepReport:
+def orthosys_sweep(oracle, eps_list, r, l_max=0, stagger=False) -> SweepReport:
     """Three-dimensional assembly against the oracle coordinates."""
     errors = {ell: [] for ell in range(l_max + 1)}
     for eps in eps_list:
-        spec = oracle.surface_spec(eps, r)
+        spec = oracle.surface_spec(eps, r, stagger=stagger)
         res = orthosys_assemble(spec)
         n = res.x.shape[0]
         t = np.arange(n) * eps
@@ -155,9 +155,9 @@ def ribaucour_sweep(curve: SmoothCurve, alpha_fn, xplus0, eps_list, r) -> SweepR
     return SweepReport("ribaucour", list(eps_list), errors)
 
 
-def run_sweep(kind: str, oracle, eps_list, r, l_max=1, stagger=False, **kwargs) -> SweepReport:
+def run_sweep(kind: str, oracle, eps_list, r, l_max=1, stagger=False) -> SweepReport:
     if kind == "csurface":
         return csurface_sweep(oracle, eps_list, r, l_max=l_max, stagger=stagger)
     if kind == "orthosys":
-        return orthosys_sweep(oracle, eps_list, r, l_max=l_max)
+        return orthosys_sweep(oracle, eps_list, r, l_max=l_max, stagger=stagger)
     raise ValueError(f"unknown sweep kind {kind!r}")

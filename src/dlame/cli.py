@@ -41,8 +41,8 @@ def parse_eps(text: str) -> float:
 
 def parse_eps_list(text: str) -> list[float]:
     eps = [parse_eps(tok) for tok in text.split(",") if tok.strip()]
-    if len(eps) < 2:
-        raise ConfigError("need at least two mesh sizes")
+    if len(eps) < 3:
+        raise ConfigError("need at least three mesh sizes for a rate fit")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ConfigError("mesh sizes must be strictly decreasing")
     return eps

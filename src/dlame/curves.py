@@ -1,4 +1,7 @@
-"""Smooth curves with two derivatives, as used for reading off frame data."""
+"""Smooth curves with two derivatives, as used for reading off frame data.
+
+Every curve function takes a scalar parameter or an array of parameters of
+shape (S,) and returns points of shape t.shape + (N,)."""
 
 from __future__ import annotations
 
@@ -12,41 +15,44 @@ __all__ = ["SmoothCurve", "line_curve", "circle_curve", "warped_circle_curve"]
 
 @dataclass(frozen=True)
 class SmoothCurve:
-    """Arc x(t) in R^N together with its first two derivatives."""
+    """Arc x(t) in R^N together with its first two derivatives, each mapping
+    t of shape () or (S,) to t.shape + (N,)."""
 
     dim: int
-    x: Callable[[float], np.ndarray]
-    dx: Callable[[float], np.ndarray]
-    d2x: Callable[[float], np.ndarray]
+    x: Callable[[np.ndarray], np.ndarray]
+    dx: Callable[[np.ndarray], np.ndarray]
+    d2x: Callable[[np.ndarray], np.ndarray]
+
+
+def _plane(a, b, dim: int) -> np.ndarray:
+    """Vectors (a, b, 0, ..., 0) in R^dim, stacked over the shape of a and b."""
+    a, b = np.broadcast_arrays(a, b)
+    return np.stack([a, b] + [np.zeros_like(a)] * (dim - 2), axis=-1)
 
 
 def line_curve(point, direction) -> SmoothCurve:
     p = np.asarray(point, dtype=float)
     d = np.asarray(direction, dtype=float)
-    zero = np.zeros_like(p)
-    return SmoothCurve(len(p), lambda t: p + t * d, lambda t: d.copy(), lambda t: zero.copy())
+    return SmoothCurve(len(p), lambda t: p + np.multiply.outer(t, d),
+                       lambda t: np.broadcast_to(d, np.shape(t) + d.shape).copy(),
+                       lambda t: np.zeros(np.shape(t) + d.shape))
 
 
 def circle_curve(radius: float, dim: int = 2, center=None, phase: float = 0.0) -> SmoothCurve:
     """Unit-speed circle of the given radius in the first two coordinates."""
     c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
 
-    def embed(a, b):
-        out = np.zeros(dim)
-        out[0], out[1] = a, b
-        return out
-
     def x(t):
         s = t / radius + phase
-        return c + embed(radius * np.cos(s), radius * np.sin(s))
+        return c + _plane(radius * np.cos(s), radius * np.sin(s), dim)
 
     def dx(t):
         s = t / radius + phase
-        return embed(-np.sin(s), np.cos(s))
+        return _plane(-np.sin(s), np.cos(s), dim)
 
     def d2x(t):
         s = t / radius + phase
-        return embed(-np.cos(s) / radius, -np.sin(s) / radius)
+        return _plane(-np.cos(s) / radius, -np.sin(s) / radius, dim)
 
     return SmoothCurve(dim, x, dx, d2x)
 
@@ -68,22 +74,17 @@ def warped_circle_curve(radius: float = 1.0, amp: float = 0.35, dim: int = 2) ->
     def d2phi(t):
         return -amp * np.sin(t / radius) / radius**2
 
-    def embed(a, b):
-        out = np.zeros(dim)
-        out[0], out[1] = a, b
-        return out
-
     def x(t):
         p = phi(t)
-        return embed(radius * np.cos(p), radius * np.sin(p))
+        return _plane(radius * np.cos(p), radius * np.sin(p), dim)
 
     def dx(t):
-        p = phi(t)
-        return embed(-radius * np.sin(p), radius * np.cos(p)) * dphi(t)
+        p, dp = phi(t), dphi(t)
+        return _plane(-radius * np.sin(p) * dp, radius * np.cos(p) * dp, dim)
 
     def d2x(t):
-        p = phi(t)
-        return (embed(-radius * np.cos(p), -radius * np.sin(p)) * dphi(t) ** 2
-                + embed(-radius * np.sin(p), radius * np.cos(p)) * d2phi(t))
+        p, dp, d2p = phi(t), dphi(t), d2phi(t)
+        return _plane(-radius * np.cos(p) * dp**2 - radius * np.sin(p) * d2p,
+                      -radius * np.sin(p) * dp**2 + radius * np.cos(p) * d2p, dim)
 
     return SmoothCurve(dim, x, dx, d2x)

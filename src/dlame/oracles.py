@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import algebra
-from .curves import SmoothCurve
+from .curves import SmoothCurve, line_curve
 from .errors import SingularPoint
 from .lattice import mesh_points
 from .orthogonal import CSurfaceData, CurveData, OrthoSurfaceSpec, suited_frame
@@ -70,19 +70,19 @@ class EllipticOracle:
 
         if axis == 1:
             def x(t):
-                return np.array([np.cosh(o1 + t) * np.cos(o2), np.sinh(o1 + t) * np.sin(o2)])
+                return np.stack([np.cosh(o1 + t) * np.cos(o2), np.sinh(o1 + t) * np.sin(o2)], axis=-1)
 
             def dx(t):
-                return np.array([np.sinh(o1 + t) * np.cos(o2), np.cosh(o1 + t) * np.sin(o2)])
+                return np.stack([np.sinh(o1 + t) * np.cos(o2), np.cosh(o1 + t) * np.sin(o2)], axis=-1)
 
             def d2x(t):
                 return x(t)
         else:
             def x(t):
-                return np.array([np.cosh(o1) * np.cos(o2 + t), np.sinh(o1) * np.sin(o2 + t)])
+                return np.stack([np.cosh(o1) * np.cos(o2 + t), np.sinh(o1) * np.sin(o2 + t)], axis=-1)
 
             def dx(t):
-                return np.array([-np.cosh(o1) * np.sin(o2 + t), np.sinh(o1) * np.cos(o2 + t)])
+                return np.stack([-np.cosh(o1) * np.sin(o2 + t), np.sinh(o1) * np.cos(o2 + t)], axis=-1)
 
             def d2x(t):
                 return -x(t)
@@ -159,43 +159,46 @@ class SphericalOracle:
 
             return SmoothCurve(
                 3,
-                lambda t: self._warp(0, t) * d,
-                lambda t: self._dwarp(0, t) * d,
-                lambda t: self._d2warp(0, t) * d,
+                lambda t: np.multiply.outer(self._warp(0, t), d),
+                lambda t: np.multiply.outer(self._dwarp(0, t), d),
+                lambda t: np.multiply.outer(self._d2warp(0, t), d),
             )
         if axis == 2:
             def pos(th):
-                return np.array([np.sin(th) * np.cos(ph0), np.sin(th) * np.sin(ph0), np.cos(th)])
+                return np.stack([np.sin(th) * np.cos(ph0), np.sin(th) * np.sin(ph0), np.cos(th)], axis=-1)
 
             def vel(th):
-                return np.array([np.cos(th) * np.cos(ph0), np.cos(th) * np.sin(ph0), -np.sin(th)])
+                return np.stack([np.cos(th) * np.cos(ph0), np.cos(th) * np.sin(ph0), -np.sin(th)], axis=-1)
 
             def x(t):
                 return r0 * pos(self._warp(1, t))
 
             def dx(t):
-                return r0 * vel(self._warp(1, t)) * self._dwarp(1, t)
+                return r0 * vel(self._warp(1, t)) * self._dwarp(1, t)[..., None]
 
             def d2x(t):
-                th = self._warp(1, t)
-                return r0 * (vel(th) * self._d2warp(1, t) - pos(th) * self._dwarp(1, t) ** 2)
+                th, dw = self._warp(1, t), self._dwarp(1, t)[..., None]
+                return r0 * (vel(th) * self._d2warp(1, t)[..., None] - pos(th) * dw**2)
             return SmoothCurve(3, x, dx, d2x)
 
         rho_s = r0 * np.sin(th0)
         z0 = r0 * np.cos(th0)
 
+        def radial(ph):
+            return np.stack([np.cos(ph), np.sin(ph), np.zeros_like(ph)], axis=-1)
+
+        def tangent(ph):
+            return np.stack([-np.sin(ph), np.cos(ph), np.zeros_like(ph)], axis=-1)
+
         def x(t):
-            ph = self._warp(2, t)
-            return np.array([rho_s * np.cos(ph), rho_s * np.sin(ph), z0])
+            return rho_s * radial(self._warp(2, t)) + np.array([0.0, 0.0, z0])
 
         def dx(t):
-            ph = self._warp(2, t)
-            return rho_s * self._dwarp(2, t) * np.array([-np.sin(ph), np.cos(ph), 0.0])
+            return rho_s * self._dwarp(2, t)[..., None] * tangent(self._warp(2, t))
 
         def d2x(t):
-            ph = self._warp(2, t)
-            return rho_s * (self._d2warp(2, t) * np.array([-np.sin(ph), np.cos(ph), 0.0])
-                            - self._dwarp(2, t) ** 2 * np.array([np.cos(ph), np.sin(ph), 0.0]))
+            ph, dw = self._warp(2, t), self._dwarp(2, t)[..., None]
+            return rho_s * (self._d2warp(2, t)[..., None] * tangent(ph) - dw**2 * radial(ph))
         return SmoothCurve(3, x, dx, d2x)
 
     def surface_spec(self, eps: float, r: float, stagger: bool = False) -> OrthoSurfaceSpec:
@@ -229,8 +232,7 @@ class FlatOracle:
     c_ij = beta
 
     def curve(self, axis: int) -> SmoothCurve:
-        d = np.eye(self.n)[axis - 1]
-        return SmoothCurve(self.n, lambda t: t * d, lambda t: d.copy(), lambda t: np.zeros(self.n))
+        return line_curve(np.zeros(self.n), np.eye(self.n)[axis - 1])
 
 
 def axis_data(oracle, i: int, t: np.ndarray) -> CurveData:

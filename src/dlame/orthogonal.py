@@ -237,23 +237,22 @@ class CurveData:
     beta: np.ndarray    # (S, N); column for the curve direction is zero
 
 
-def _curve_lift(alg: Algebra, curve: SmoothCurve, t: float):
-    """Lifted point, velocity and acceleration with speed and its derivative."""
-    x = np.asarray(curve.x(t), dtype=float)
-    dx = np.asarray(curve.dx(t), dtype=float)
-    d2x = np.asarray(curve.d2x(t), dtype=float)
-    h = float(np.linalg.norm(dx))
-    if h < 1e-12:
-        raise ImmersionFailure(f"curve speed vanished at t={t}")
-    dh = float(dx @ d2x) / h
-    xhat = alg.lift_point(x)
+def _lift_nodes(alg: Algebra, curve: SmoothCurve, t: np.ndarray):
+    """Lifted points, unit tangents v_d, transport vectors a and speeds h at the
+    parameters t (K,) in one stacked evaluation; the first node of t whose
+    speed vanishes raises."""
+    x, dx, d2x = curve.x(t), curve.dx(t), curve.d2x(t)
+    h = np.linalg.norm(dx, axis=-1)
+    slow = np.flatnonzero(h < 1e-12)
+    if len(slow):
+        raise ImmersionFailure(f"curve speed vanished at t={float(t[slow[0]])}")
+    dh = np.sum(dx * d2x, axis=-1) / h
+    c = np.sum(dx * dx, axis=-1) + np.sum(x * d2x, axis=-1)
     dxhat = alg.tangent_lift(x, dx)
-    c = float(dx @ dx + x @ d2x)
-    d2xhat = np.zeros(alg.dim)
-    d2xhat[: alg.n] = d2x
-    d2xhat[alg.dim - 2] = -c
-    d2xhat[alg.dim - 1] = c
-    return xhat, dxhat, d2xhat, h, dh
+    d2xhat = np.concatenate([d2x, -c[:, None], c[:, None]], axis=-1)
+    vd = dxhat / h[:, None]
+    a = d2xhat / h[:, None] - dxhat * (dh / h / h)[:, None]
+    return alg.lift_point(x), vd, a, h
 
 
 def read_off_curve(
@@ -272,78 +271,86 @@ def read_off_curve(
     other columns are the companion vectors at the start.  Classical RK4 with
     per-step re-orthonormalization keeps the read-off error well below the
     O(eps) budget of the discretizations it feeds.
+
+    The companion rows V obey the linear ODE V' = V B(t), B = -(eta a) v_d^T,
+    so one RK4 substep is exactly V <- V P with
+    P = I + dt/6 (C1 + 2 C2 + 2 C3 + C4), C1 = B(t), C2 = (I + dt/2 C1) B(t + dt/2),
+    C3 = (I + dt/2 C2) B(t + dt/2), C4 = (I + dt C3) B(t + dt).  Every lift and
+    every P comes from one stacked evaluation; only V P, the orthonormality
+    gate and the re-orthonormalization run substep by substep.
     """
     samples = np.asarray(samples, dtype=float)
     d = direction
-    others = [k for k in range(1, alg.n + 1) if k != d]
-
-    xhat0, dxhat0, _, h0, _ = _curve_lift(alg, curve, 0.0)
-    vref = dxhat0 / h0
-    psi0 = np.asarray(psi0, dtype=float)
-    if np.max(np.abs(psi0 @ alg.e0 - xhat0)) > 1e-8 * (1 + np.abs(xhat0).max()):
-        raise DegenerateBasis("initial frame does not sit at the start of the curve")
-    if np.max(np.abs(psi0[:, d - 1] - vref)) > 1e-8:
-        raise DegenerateBasis("initial frame is not aligned with the curve tangent")
-
-    V = psi0[:, [k - 1 for k in others]].T.copy()
-
-    def tangent_data(t):
-        xhat, dxhat, d2xhat, h, dh = _curve_lift(alg, curve, t)
-        vd = dxhat / h
-        a = d2xhat / h - dxhat * (dh / h / h)
-        return xhat, vd, a, h
-
-    def rhs(V, t):
-        _, vd, a, _ = tangent_data(t)
-        betas = -np.sum(V * (a * alg._metric), axis=1)
-        return np.outer(betas, vd)
-
-    def renorm(V, t):
-        xhat, vd, _, _ = tangent_data(t)
-        gram = V * alg._metric @ V.T
-        if np.max(np.abs(gram - np.eye(len(others)))) > 1e-6:
-            raise FrameDrift("companion frame lost orthonormality")
-        for r in range(V.shape[0]):
-            u = V[r]
-            u = u - (-2.0 * alg.dot_einf(u)) * xhat - (-2.0 * alg.lorentz_dot(u, xhat)) * alg.einf
-            u = u - alg.lorentz_dot(u, vd) * vd
-            for s in range(r):
-                u = u - alg.lorentz_dot(u, V[s]) * V[s]
-            V[r] = u / math.sqrt(alg.lorentz_dot(u, u))
-        return V
-
+    others = [k for k in range(alg.n) if k != d - 1]
     if substep is None:
         gaps = np.diff(samples)
         substep = float(np.min(gaps[gaps > 0]) / 4.0) if len(gaps) else 0.25
 
-    h_out = np.zeros(len(samples))
-    beta_out = np.zeros((len(samples), alg.n))
+    # lift nodes in the order the integrator visits them: the start, the
+    # samples at (or numerically before) it, then per later sample the
+    # midpoint and end of each substep followed by the sample itself
+    pre = 0
+    while pre < len(samples) and samples[pre] <= 1e-14:
+        pre += 1
+    times = [0.0, *samples[:pre]]
+    sample_nodes = list(range(1, pre + 1))
+    begin, mid, dts, sample_steps = [], [], [], set()
     t = 0.0
-    s_idx = 0
-    # record any samples at (or numerically before) the start
-    while s_idx < len(samples) and samples[s_idx] <= t + 1e-14:
-        _, _, a, h = tangent_data(samples[s_idx])
-        h_out[s_idx] = h
-        beta_out[s_idx, [k - 1 for k in others]] = -np.sum(V * (a * alg._metric), axis=1)
-        s_idx += 1
-    while s_idx < len(samples):
-        target = samples[s_idx]
+    for target in samples[pre:]:
         nsub = max(1, int(math.ceil((target - t) / substep - 1e-12)))
         dt = (target - t) / nsub
         for _ in range(nsub):
-            k1 = rhs(V, t)
-            k2 = rhs(V + dt / 2 * k1, t + dt / 2)
-            k3 = rhs(V + dt / 2 * k2, t + dt / 2)
-            k4 = rhs(V + dt * k3, t + dt)
-            V = V + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            begin.append(len(times) - 1 if mid else 0)
+            mid.append(len(times))
+            dts.append(dt)
+            times += [t + dt / 2, t + dt]
             t += dt
-            V = renorm(V, t)
         t = target
-        _, _, a, h = tangent_data(t)
-        h_out[s_idx] = h
-        beta_out[s_idx, [k - 1 for k in others]] = -np.sum(V * (a * alg._metric), axis=1)
-        s_idx += 1
-    return CurveData(samples.copy(), h_out, beta_out)
+        sample_steps.add(len(dts) - 1)
+        sample_nodes.append(len(times))
+        times.append(target)
+
+    times = np.array(times)
+    xhat, vd, a, h = _lift_nodes(alg, curve, times)
+    psi0 = np.asarray(psi0, dtype=float)
+    if np.max(np.abs(psi0 @ alg.e0 - xhat[0])) > 1e-8 * (1 + np.abs(xhat[0]).max()):
+        raise DegenerateBasis("initial frame does not sit at the start of the curve")
+    if np.max(np.abs(psi0[:, d - 1] - vd[0])) > 1e-8:
+        raise DegenerateBasis("initial frame is not aligned with the curve tangent")
+
+    eta_a = a * alg._metric
+    B = -eta_a[:, :, None] * vd[:, None, :]
+    mid = np.array(mid, dtype=int)
+    dt = np.array(dts)[:, None, None]
+    eye = np.eye(alg.dim)
+    C1 = B[begin]
+    C2 = (eye + dt / 2 * C1) @ B[mid]
+    C3 = (eye + dt / 2 * C2) @ B[mid]
+    C4 = (eye + dt * C3) @ B[mid + 1]
+    P = eye + dt / 6 * (C1 + 2 * C2 + 2 * C3 + C4)
+
+    V = psi0[:, others].T.copy()
+    V_at = [V] * pre
+    gram_eye = np.eye(len(others))
+    for k, end in enumerate(mid + 1):
+        V = V @ P[k]
+        if np.max(np.abs(V * alg._metric @ V.T - gram_eye)) > 1e-6:
+            raise FrameDrift("companion frame lost orthonormality")
+        # project off the lifted point, e_inf and the tangent, then Gram-Schmidt
+        V = (V - (-2.0 * alg.dot_einf(V))[:, None] * xhat[end]
+             - (-2.0 * alg.lorentz_dot(V, xhat[end]))[:, None] * alg.einf)
+        V = V - alg.lorentz_dot(V, vd[end])[:, None] * vd[end]
+        for r in range(len(V)):
+            for s in range(r):
+                V[r] = V[r] - alg.lorentz_dot(V[r], V[s]) * V[s]
+            V[r] = V[r] / math.sqrt(alg.lorentz_dot(V[r], V[r]))
+        if k in sample_steps:
+            V_at.append(V)
+
+    V_at = np.reshape(V_at, (len(samples), len(others), alg.dim))
+    beta = np.zeros((len(samples), alg.n))
+    beta[:, others] = -np.sum(V_at * eta_a[sample_nodes][:, None, :], axis=-1)
+    return CurveData(samples.copy(), h[sample_nodes], beta)
 
 
 @dataclass

@@ -28,6 +28,12 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_eps_list("pi/20,pi/10")
 
+    def test_eps_list_needs_three_sizes(self):
+        # the rate fit needs three points
+        with pytest.raises(ConfigError):
+            parse_eps_list("0.1,0.05")
+        assert parse_eps_list("0.1,0.05,0.025") == [0.1, 0.05, 0.025]
+
 
 class TestExitCodes:
     def test_malformed_eps_exits_2(self, capsys):
@@ -167,6 +173,28 @@ class TestConfigFile:
 
 
 class TestSweepCommand:
+    def test_two_mesh_sizes_exit_2_before_any_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("sweep solved with a malformed mesh list")
+
+        monkeypatch.setattr("dlame.cli.run_sweep", no_solve)
+        assert main(["sweep", "--problem", "orthosys", "--oracle", "spherical",
+                     "--eps-list", "0.1,0.05", "--r", "0.4"]) == 2
+
+    def test_orthosys_stagger_changes_the_report(self, tmp_path):
+        docs = {}
+        for flag in ([], ["--stagger"]):
+            rep = tmp_path / f"report{len(flag)}.json"
+            rc = main(["sweep", "--problem", "orthosys", "--oracle", "spherical",
+                       "--eps-list", "0.1,0.05,0.025", "--r", "0.4", "--lmax", "0",
+                       "--report", str(rep)] + flag)
+            assert rc == 0
+            docs[bool(flag)] = json.loads(rep.read_text())
+        assert docs[True]["config"]["stagger"] and not docs[False]["config"]["stagger"]
+        plain, staggered = docs[False]["errors"]["0"], docs[True]["errors"]["0"]
+        assert all(a != b for a, b in zip(plain, staggered))
+        assert 0.8 < docs[True]["slopes"]["0"] < 1.2
+
     def test_report_file(self, tmp_path):
         rep = tmp_path / "report.json"
         rc = main(["sweep", "--problem", "csurface", "--oracle", "elliptic",

@@ -296,9 +296,9 @@ class TestReadOff:
 
         curve = SmoothCurve(
             2,
-            lambda t: np.array([t**3 / 3.0, 0.0]),
-            lambda t: np.array([t**2, 0.0]),
-            lambda t: np.array([2 * t, 0.0]),
+            lambda t: np.stack([t**3 / 3.0, np.zeros_like(t)], axis=-1),
+            lambda t: np.stack([t**2, np.zeros_like(t)], axis=-1),
+            lambda t: np.stack([2 * t, np.zeros_like(t)], axis=-1),
         )
         psi0 = suited_frame(ALG2, np.zeros(2), [np.array([1.0, 0]), np.array([0.0, 1])])
         with pytest.raises(ImmersionFailure):
