@@ -148,15 +148,16 @@ def _config_echo(args) -> dict:
 
 
 def _export(args, x, eps_tuple):
+    # the SVG goes first: its gates (planar, at least one cell, concircular) leave no file behind
     wrote = False
+    if getattr(args, "svg", None):
+        write_svg(args.svg, x, eps_tuple[0])
+        wrote = True
     if getattr(args, "csv", None):
         write_csv(args.csv, x, eps_tuple)
         wrote = True
     if getattr(args, "json", None):
         write_json(args.json, x, eps_tuple, _config_echo(args))
-        wrote = True
-    if getattr(args, "svg", None):
-        write_svg(args.svg, x, eps_tuple[0])
         wrote = True
     if not wrote:
         print(f"solved lattice with shape {x.shape[:-1]} (no output files requested)")

@@ -40,6 +40,7 @@ __all__ = [
     "check_4d_consistency",
     "coplanarity_residual",
     "net_planarity_residual",
+    "quad_stack",
 ]
 
 
@@ -53,9 +54,7 @@ def cname(i: int, j: int) -> str:
 # (b, k, a) and (b, a, k); indices below are positions within the sorted triple
 _PERMS = list(itertools.permutations(range(3)))
 _P_INDEX = {p: r for r, p in enumerate(_PERMS)}
-_ROW_A = np.array([p[0] for p in _PERMS])
-_ROW_B = np.array([p[1] for p in _PERMS])
-_ROW_K = np.array([p[2] for p in _PERMS])
+_ROW_A, _ROW_B, _ROW_K = np.array(_PERMS).T
 _COL_BKA = np.array([_P_INDEX[(p[1], p[2], p[0])] for p in _PERMS])
 _COL_BAK = np.array([_P_INDEX[(p[1], p[0], p[2])] for p in _PERMS])
 _ROWS = np.arange(6)
@@ -75,7 +74,9 @@ class _BlockPlan(NamedTuple):
     tail_i: np.ndarray
     tail_j: np.ndarray
     tail_msg: tuple[str, ...]
+    triples: tuple[tuple[int, int, int], ...]
     keys: tuple[tuple[int, int, int], ...]
+    dense: np.ndarray          # (M, M, M): position of key (i, p, q) in keys, len(keys) where none
 
 
 # the diagonal, (b, k, a) and (b, a, k) entries of a block row (a, b, k) are
@@ -85,8 +86,11 @@ _SIGN = np.repeat([1.0, -1.0, -1.0], 6)
 
 
 @functools.lru_cache(maxsize=None)
-def _block_plan(M: int, triples: tuple, tail_dirs: tuple) -> _BlockPlan:
-    T = np.array(triples).reshape(-1, 3)
+def _block_plan(M: int, triple, tail_dirs: tuple) -> _BlockPlan:
+    """Plan of the blocks of `triple`: None (all), one index triple or a tuple of them."""
+    triples = tuple(itertools.combinations(range(M), 3)) if triple is None else \
+        tuple(tuple(sorted(t)) for t in np.array(triple, dtype=int).reshape(-1, 3).tolist())
+    T = np.array(triples, dtype=int).reshape(-1, 3)
     tail_trip, tail_i, tail_j, tail_msg = [], [], [], []
     for t_idx, trip in enumerate(triples):
         for pos, d in enumerate(trip):
@@ -97,40 +101,32 @@ def _block_plan(M: int, triples: tuple, tail_dirs: tuple) -> _BlockPlan:
                 tail_j.append(d * M + j)
                 tail_msg.append(f"transform block {trip} is inadmissible: (1+c[{d},i]) factors vanish")
     keys = tuple((trip[p[0]], trip[p[2]], trip[p[1]]) for trip in triples for p in _PERMS)
+    dense = np.full((M, M, M), len(keys))
+    dense[tuple(np.array(keys, dtype=int).reshape(-1, 3).T)] = np.arange(len(keys))
     coeffs = np.stack([T[:, p] * M + T[:, q] for p, q in
                        ((_ROW_A, _ROW_B), (_ROW_K, _ROW_B), (_ROW_A, _ROW_K), (_ROW_K, _ROW_A))], axis=1)
     return _BlockPlan(
-        block=(T[:, :, None] * M + T[:, None, :]).reshape(len(triples), 9),
-        coeffs=coeffs,
+        block=(T[:, :, None] * M + T[:, None, :]).reshape(len(triples), 9), coeffs=coeffs,
         cidx=np.concatenate([coeffs[:, 0], coeffs[:, 1], coeffs[:, 0]], axis=-1),
         eidx=np.concatenate([T[:, _ROW_A], T[:, _ROW_B], T[:, _ROW_B]], axis=-1),
-        tail_trip=np.array(tail_trip, dtype=int),
-        tail_i=np.array(tail_i, dtype=int),
-        tail_j=np.array(tail_j, dtype=int),
-        tail_msg=tuple(tail_msg),
-        keys=keys,
-    )
+        tail_trip=np.array(tail_trip, dtype=int), tail_i=np.array(tail_i, dtype=int),
+        tail_j=np.array(tail_j, dtype=int), tail_msg=tuple(tail_msg), triples=triples, keys=keys, dense=dense)
 
 
-def _implicit_blocks(c: np.ndarray, eps, triple, tail_dirs):
+def _implicit_blocks(c: np.ndarray, eps, triple, tail_dirs, need=None):
     """The stacked blocks A and right-hand sides F of `dcn_step_c`, the output
     keys in row order, and its gates as `raise_first` checks; nothing is solved."""
     c = np.asarray(c, dtype=float)
     M = c.shape[-1]
-    if triple is None:
-        triples = itertools.combinations(range(M), 3)
-    elif isinstance(triple[0], (int, np.integer)):
-        triples = [triple]
-    else:
-        triples = triple
-    triples = tuple(tuple(sorted(int(i) for i in t)) for t in triples)
-    plan = _block_plan(M, triples, tuple(int(d) for d in tail_dirs))
+    if not (triple is None or isinstance(triple, tuple)):
+        triple = tuple(np.ravel(triple).tolist())
+    plan = _block_plan(M, triple, tuple(tail_dirs))
     e = np.asarray(eps, dtype=float)
     batch = c.shape[:-2]
     if e.shape[:-1] not in ((), batch):
         batch = np.broadcast_shapes(batch, e.shape[:-1])
         c = np.broadcast_to(c, batch + (M, M))
-    ntrip = len(triples)
+    ntrip = len(plan.triples)
     cf = c.reshape(batch + (M * M,))
     g = cf[..., plan.coeffs]
     cab, ckb, cak, cka = g[..., 0, :], g[..., 1, :], g[..., 2, :], g[..., 3, :]
@@ -139,6 +135,8 @@ def _implicit_blocks(c: np.ndarray, eps, triple, tail_dirs):
     A[..., _ENTRIES] = entries
     A = A.reshape(batch + (ntrip, 6, 6))
     F = cak * ckb + cka * cab - ckb * cab
+    if need is not None:  # a block an entry does not read: an identity with a nan right-hand side
+        A, F = np.where(need[..., None, None], A, np.eye(6)), np.where(need[..., None], F, np.nan)
     # no row vanishes: a row with c_ab = 0 has diagonal 1, one with c_ab != 0 the entry -eps_b c_ab
     ratio = np.abs(np.linalg.det(A)) / np.sqrt(np.einsum("...ij,...ij->...i", A, A)).prod(axis=-1)
     checks = []
@@ -146,15 +144,16 @@ def _implicit_blocks(c: np.ndarray, eps, triple, tail_dirs):
         cmax = np.max(np.abs(cf[..., plan.block]), axis=-1)
         fac = (1.0 + cf[..., plan.tail_i]) * (1.0 + cf[..., plan.tail_j])
         tail_bad = np.abs(fac) < TOL.degeneracy * (1.0 + cmax[..., plan.tail_trip]) ** 2
+        tail_bad = tail_bad if need is None else tail_bad & need[..., plan.tail_trip]
         checks.append((tail_bad.any(axis=-1), lambda row: DegenerateHexahedron(
             plan.tail_msg[int(np.argmax(tail_bad.reshape(-1, len(plan.tail_msg))[row]))])))
     checks.append(((ratio < TOL.degeneracy).any(axis=-1), lambda row: DegenerateHexahedron(
         f"implicit block for triple "
-        f"{triples[int(np.argmin(ratio.reshape(-1, ntrip)[row]))]} is singular")))
+        f"{plan.triples[int(np.argmin(ratio.reshape(-1, ntrip)[row]))]} is singular")))
     return A, F, plan.keys, checks
 
 
-def dcn_step_c(c: np.ndarray, eps, triple=None, tail_dirs=()) -> dict:
+def dcn_step_c(c: np.ndarray, eps, triple=None, tail_dirs=(), need=None) -> dict:
     """Solve the implicit blocks for the difference quotients delta_a c_cb.
 
     c is an (..., M, M) array of rotation coefficients at the cube corner
@@ -162,87 +161,18 @@ def dcn_step_c(c: np.ndarray, eps, triple=None, tail_dirs=()) -> dict:
     sizes, (M,) or (..., M) per batch entry; the two broadcast.  `triple`
     selects one unordered index triple, a list of them, or all (None); the
     blocks of every batch entry are assembled and factored as one stacked
-    batch.
+    batch.  `need`, boolean (..., ntrip) over the batch axes and the triples,
+    marks the blocks each entry reads; the others are not gated and read nan.
     Returns {(a, b, c): delta_a c_bc} with values over the batch axes,
     covering every ordered pair inside the requested triple(s).  Raises
     DegenerateHexahedron, carrying the first offending batch row, when the
     Hadamard ratio |det A| / prod_r |A_r| of a block falls below tolerance,
     or when a tail-direction block has a vanishing factor 1 + c_{Mi}.
     """
-    A, F, keys, checks = _implicit_blocks(c, eps, triple, tail_dirs)
+    A, F, keys, checks = _implicit_blocks(c, eps, triple, tail_dirs, need)
     raise_first(checks)
     delta = np.linalg.solve(A, F[..., None])[..., 0].reshape(A.shape[:-3] + (-1,))
     return {key: delta[..., k] for k, key in enumerate(keys)}
-
-
-class ConjugateSystem(HyperbolicSystem):
-    """Hyperbolic system of an M-dimensional discrete conjugate net in R^N."""
-
-    batched = True
-
-    def __init__(self, M: int, N: int, tail_dirs: tuple[int, ...] = ()):
-        self.N = N
-        self.tail_dirs = tuple(tail_dirs)
-        # names of the c_ij components by 0-based pair, looked up on every step call
-        self._cnames = {(i, j): cname(i + 1, j + 1) for i, j in itertools.permutations(range(M), 2)}
-        comps = [
-            Component(
-                "x", (N,), (),
-                {j: ("x", f"w{j + 1}") for j in range(M)},
-            )
-        ]
-        for i in range(M):
-            reads = {}
-            for j in range(M):
-                if j == i:
-                    continue
-                reads[j] = (f"w{i + 1}", f"w{j + 1}", self._cnames[i, j], self._cnames[j, i])
-            comps.append(Component(f"w{i + 1}", (N,), (i,), reads))
-        for i, j in itertools.permutations(range(M), 2):
-            reads = {}
-            for k in range(M):
-                if k in (i, j):
-                    continue
-                tri = (i, j, k)
-                reads[k] = tuple(self._cnames[pq] for pq in itertools.permutations(tri, 2))
-            comps.append(Component(self._cnames[i, j], (), tuple(sorted((i, j))), reads))
-        super().__init__(M, comps)
-
-    def _cmatrix(self, vals) -> np.ndarray:
-        M = self.M
-        c = np.zeros(np.shape(vals["x"])[:-1] + (M, M))
-        for (i, j), name in self._cnames.items():
-            c[..., i, j] = vals[name]
-        return c
-
-    def step(self, direction: int, vals, eps, outputs=None):
-        j = direction
-        want = None if outputs is None else set(outputs)
-
-        def wanted(*names):
-            return want is None or any(n in want for n in names)
-
-        c = self._cmatrix(vals)
-        out = {}
-        wj = np.asarray(vals[f"w{j + 1}"], dtype=float)
-        if wanted("x"):
-            out["x"] = np.asarray(vals["x"], dtype=float) + eps[j] * wj
-        for i in range(self.M):
-            if i == j or not wanted(f"w{i + 1}"):
-                continue
-            wi = np.asarray(vals[f"w{i + 1}"], dtype=float)
-            out[f"w{i + 1}"] = wi + eps[j] * (c[..., i, j, None] * wj + c[..., j, i, None] * wi)
-        pairs = [
-            (a, b) for a, b in itertools.combinations(range(self.M), 2)
-            if j not in (a, b) and wanted(self._cnames[a, b], self._cnames[b, a])
-        ]
-        if pairs:
-            delta = dcn_step_c(c, eps, triple=[(j, a, b) for a, b in pairs],
-                               tail_dirs=self.tail_dirs)
-            for a, b in pairs:
-                out[self._cnames[a, b]] = c[..., a, b] + eps[j] * delta[(j, a, b)]
-                out[self._cnames[b, a]] = c[..., b, a] + eps[j] * delta[(j, b, a)]
-        return out
 
 
 @dataclass
@@ -256,29 +186,116 @@ class CornerState:
 
     @property
     def M(self) -> int:
-        return self.w.shape[-2]
+        return self.c.shape[-1]
 
 
-def _entries(v: np.ndarray, k: int):
-    """Flat index of every entry over v's batch axes (all but its last k), and
-    v with those axes flattened, so that v_flat[idx, a] picks v[..., a, ...]
-    per entry with idx and a broadcast against each other."""
+def _at(v: np.ndarray, k: int, a: np.ndarray) -> np.ndarray:
+    """v[..., a, ...] over v's batch axes (all but its last k); an int array a picks per entry."""
+    if a.ndim == 0 or v.ndim == k:
+        return v[(..., a) + (slice(None),) * (k - 1)]
     lead = v.shape[:v.ndim - k]
-    return np.arange(math.prod(lead)).reshape(lead), v.reshape((-1,) + v.shape[v.ndim - k:])
+    return v.reshape((-1,) + v.shape[v.ndim - k:])[np.arange(math.prod(lead)).reshape(lead), a]
 
 
-def _shift_edges(state: CornerState, a: np.ndarray, eps):
-    """Shifted x and w of `shift_state` (row a of w nan), and the step sizes
-    eps_a as (..., 1)."""
-    ie, ef = _entries(np.asarray(eps, dtype=float), 1)
-    iw, wf = _entries(state.w, 2)
-    ic, cf = _entries(state.c, 2)
-    ea = ef[ie, a][..., None]
-    wa = wf[iw, a]
+def _shift_edges(state: CornerState, a: np.ndarray, eps, edges: bool = True):
+    """Shifted x and (if `edges`) w of `shift_state` (row a of w nan), and the
+    step sizes eps_a as (..., 1)."""
+    ea = _at(np.asarray(eps, dtype=float), 1, a)[..., None]
+    wa = _at(state.w, 2, a)
     x = state.x + ea * wa
-    w = state.w + ea[..., None] * (cf[ic, :, a][..., None] * wa[..., None, :] + cf[ic, a][..., None] * state.w)
-    w = np.where(np.arange(state.M)[:, None] == a[..., None, None], np.nan, w)
+    if not edges:
+        return x, None, ea
+    w = state.w + ea[..., None] * (_at(state.c.swapaxes(-1, -2), 2, a)[..., None] * wa[..., None, :]
+                                   + _at(state.c, 2, a)[..., None] * state.w)
+    if a.ndim:
+        return x, np.where(np.eye(state.M, dtype=bool)[a][..., None], np.nan, w), ea
+    w[..., a, :] = np.nan
     return x, w, ea
+
+
+def _advance(state: CornerState, a: np.ndarray, eps, triples: tuple, tail_dirs, need=None,
+             edges: bool = True) -> CornerState:
+    """The one conjugate step kernel: tau_a x and tau_a w (unless state.w is None;
+    w only if `edges`) and tau_a c for the direction a of each entry (an int
+    array broadcasting against the batch axes), from the blocks of `triples`
+    solved in one `dcn_step_c` call, of which direction d reads need[d] (None:
+    all).  Row a of w and the c_pq no solved block covers are nan."""
+    if state.w is None:
+        x = w = None
+        ea = _at(np.asarray(eps, dtype=float), 1, a)[..., None]
+    else:
+        x, w, ea = _shift_edges(state, a, eps, edges)
+    delta = {}
+    if triples:
+        delta = (dcn_step_c(state.c, eps, triples, tail_dirs) if need is None
+                 else dcn_step_c(state.c, eps, triples, tail_dirs, need=need[a]))
+    if a.ndim == 0:  # one direction: the entries its solved blocks cover
+        c = state.c + ea[..., None] * np.nan
+        for (i, p, q), value in delta.items():
+            if i == a:
+                c[..., p, q] = state.c[..., p, q] + ea[..., 0] * value
+        return CornerState(x, w, c)
+    # delta_a c_pq of every entry from the solved blocks, a nan row where none covers it
+    values = list(delta.values())
+    shape = np.shape(values[0]) if values else ()
+    solved = np.array(values + [np.full(shape, np.nan)]).reshape(len(values) + 1, -1)
+    entry = np.arange(solved.shape[1]).reshape(shape)[..., None, None]
+    D = solved[_block_plan(state.M, triples, tuple(tail_dirs)).dense[a], entry]
+    return CornerState(x, w, state.c + ea[..., None] * D)
+
+
+@functools.lru_cache(maxsize=None)
+def _cnames(M: int) -> tuple:
+    """(name, i, j) of every rotation coefficient c_ij, 0-based."""
+    return tuple((cname(i + 1, j + 1), i, j) for i, j in itertools.permutations(range(M), 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _step_plan(M: int, dirs: tuple, outputs):
+    """(name, *static directions) of each component `ConjugateSystem.step` returns (evolving in
+    one of `dirs`, named by `outputs` unless None), the triples it solves, the need table."""
+    ret = tuple(n for n in (("x",), *((f"w{i + 1}", i) for i in range(M)), *_cnames(M))
+                if (outputs is None or n[0] in outputs) and set(dirs) - set(n[1:]))
+    pairs = {tuple(sorted(n[1:])) for n in ret if len(n) == 3}
+    triples = tuple(sorted({tuple(sorted((d, *pq))) for pq in pairs for d in dirs if d not in pq}))
+    need = np.array([[d in t and tuple(sorted(set(t) - {d})) in pairs for t in triples] for d in range(M)],
+                    dtype=bool)
+    return ret, triples, None if need[list(dirs)].all() else need
+
+
+class ConjugateSystem(HyperbolicSystem):
+    """Hyperbolic system of an M-dimensional discrete conjugate net in R^N."""
+
+    batched = True
+
+    def __init__(self, M: int, N: int, tail_dirs: tuple[int, ...] = ()):
+        self.N = N
+        self.tail_dirs = tuple(tail_dirs)
+        comps = [Component("x", (N,), (), {j: ("x", f"w{j + 1}") for j in range(M)})]
+        comps += [Component(f"w{i + 1}", (N,), (i,), {
+            j: (f"w{i + 1}", f"w{j + 1}", cname(i + 1, j + 1), cname(j + 1, i + 1)) for j in range(M) if j != i})
+            for i in range(M)]
+        comps += [Component(cname(i + 1, j + 1), (), tuple(sorted((i, j))), {
+            k: tuple(cname(p + 1, q + 1) for p, q in itertools.permutations((i, j, k), 2))
+            for k in range(M) if k not in (i, j)}) for i, j in itertools.permutations(range(M), 2)]
+        super().__init__(M, comps)
+
+    def step(self, direction, vals, eps, outputs=None):
+        """Pack the components into a corner state, advance it, unpack the outputs."""
+        M, a = self.M, np.asarray(direction)
+        ret, triples, need = _step_plan(M, tuple(sorted(set(a.ravel().tolist()))),
+                                        None if outputs is None else tuple(outputs))
+        x = np.asarray(vals["x"], dtype=float)
+        c = np.zeros(x.shape[:-1] + (M, M))
+        for name, p, q in _cnames(M):
+            c[..., p, q] = vals[name]
+        edges = any(len(n) == 2 for n in ret)  # every output but a coefficient reads w
+        w = np.empty(x.shape[:-1] + (M, x.shape[-1])) if edges or ret[:1] == (("x",),) else None
+        for i in range(M if w is not None else 0):
+            w[..., i, :] = vals[f"w{i + 1}"]
+        new = _advance(CornerState(x, w, c), a, eps, triples, self.tail_dirs, need, edges)
+        return {name: new.c[(..., *at)] if len(at) == 2 else new.w[..., at[0], :] if at else new.x
+                for name, *at in ret}
 
 
 def shift_state(state: CornerState, direction, eps, tail_dirs=()) -> CornerState:
@@ -293,31 +310,20 @@ def shift_state(state: CornerState, direction, eps, tail_dirs=()) -> CornerState
     `dcn_step_c` call, so shifting one corner in several directions at once
     solves each block once.
     """
-    M = state.M
     a = np.asarray(direction)
-    x, w, ea = _shift_edges(state, a, eps)
-    dirs = set(np.ravel(a).tolist())
-    triples = [t for t in sorted(_known_triples(state.c)) if dirs & set(t)]
-    delta = dcn_step_c(state.c, eps, triple=triples, tail_dirs=tail_dirs) if triples else {}
-    # delta_i c_pq on a dense (i, p, q) grid over the batch entries of delta,
-    # nan where no block covers it
-    shape = np.shape(next(iter(delta.values()), 0.0))
-    D = np.full((M * M * M,) + shape, np.nan)
-    if delta:
-        D[[(i * M + p) * M + q for i, p, q in delta]] = np.array(list(delta.values()))
-    iD = np.arange(math.prod(shape)).reshape(shape)
-    c = state.c + ea[..., None] * D.reshape(M, M, M, -1)[a, :, :, iD]
-    return CornerState(x, w, c)
+    dirs = set(a.ravel().tolist())
+    known = (~np.isnan(state.c)).all(axis=tuple(range(state.c.ndim - 2))).tolist()
+    return _advance(state, a, eps, tuple(t for t in itertools.combinations(range(state.M), 3) if dirs & set(t)
+                                          and all(known[p][q] for p, q in itertools.permutations(t, 2))), tail_dirs)
 
 
 def hexahedron_algebraic(state: CornerState, eps) -> np.ndarray:
     """Far vertex of the elementary hexahedron through the first-order system."""
     if state.M != 3:
         raise ValueError("elementary hexahedron needs exactly three directions")
-    s = shift_state(state, 0, eps)
-    s = shift_state(s, 1, eps)
-    s = shift_state(s, 2, eps)
-    return s.x
+    for a in range(3):
+        state = shift_state(state, a, eps)
+    return state.x
 
 
 # the two other directions of each lead direction of a hexahedron, and the
@@ -346,8 +352,8 @@ def elementary_hexahedron(state: CornerState, eps) -> np.ndarray:
     e = np.asarray(eps, dtype=float)
     basis, rdiag = np.linalg.qr(np.swapaxes(state.w, -1, -2))  # (..., N, 3): span of the edges
     rabs = np.abs(rdiag)
-    edge_scale = np.maximum(1.0, np.max(rabs, axis=(-2, -1)))
-    flat = np.min(np.diagonal(rabs, axis1=-2, axis2=-1), axis=-1) < 1e-10 * edge_scale
+    edge_scale = np.maximum(1.0, rabs.max(axis=(-2, -1)))
+    flat = np.diagonal(rabs, axis1=-2, axis2=-1).min(axis=-1) < 1e-10 * edge_scale
     *_, block_checks = _implicit_blocks(state.c, e, None, ())
     # every entry gets a unit axis, which the shift broadcasts to its three lead directions
     corner = CornerState(state.x[..., None, :], state.w[..., None, :, :], state.c[..., None, :, :])
@@ -361,7 +367,7 @@ def elementary_hexahedron(state: CornerState, eps) -> np.ndarray:
     norm = np.sqrt(normal[..., None, :] @ normal[..., :, None])[..., 0]
     A = normal / np.maximum(norm, 1e-300)
     rhs = A[..., None, :] @ (bt @ (x - corner.x)[..., None])
-    scale = np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
     # one pass over every gate names the entry a per-entry loop would meet first
     raise_first([
         (flat, lambda row: DegenerateHexahedron("corner edges do not span a three-space")),
@@ -431,16 +437,6 @@ def solve_conjugate_net(
     return goursat_solve(system, mesh, data, request=request)
 
 
-def _known_triples(c: np.ndarray) -> set:
-    """Sorted index triples whose six off-diagonal coefficients are known in
-    every batch entry of c (..., M, M)."""
-    known = np.all(~np.isnan(c), axis=tuple(range(c.ndim - 2))).tolist()
-    return {
-        t for t in itertools.combinations(range(len(known)), 3)
-        if all(known[p][q] for p, q in itertools.permutations(t, 2))
-    }
-
-
 # the three other directions of each lead direction of a 4-cube, and the
 # pairs of leads whose far vertices are compared
 _REST = np.array([[d for d in range(4) if d != lead] for lead in range(4)])
@@ -462,7 +458,7 @@ def check_4d_consistency(state: CornerState, eps) -> float:
                       s.c[leads[:, None, None], _REST[:, :, None], _REST[:, None, :]])
     far = elementary_hexahedron(sub, np.asarray(eps, dtype=float)[_REST])
     gap = far[_LEAD_I] - far[_LEAD_J]
-    return float(np.sqrt(np.max(gap[:, None, :] @ gap[:, :, None])))
+    return float(np.sqrt((gap[:, None, :] @ gap[:, :, None]).max()))
 
 
 def coplanarity_residual(points: np.ndarray) -> float:
@@ -473,20 +469,23 @@ def coplanarity_residual(points: np.ndarray) -> float:
     return float(sv[-1]) if len(sv) == 3 else 0.0
 
 
+def quad_stack(x: np.ndarray, axis_i: int = 0, axis_j: int = 1) -> np.ndarray:
+    """All elementary (i, j)-quads of a point field as an array (..., 4, N)."""
+    sl = [slice(None)] * (x.ndim - 1)
+
+    def s(di, dj):
+        out = list(sl)
+        out[axis_i] = slice(1, None) if di else slice(0, -1)
+        out[axis_j] = slice(1, None) if dj else slice(0, -1)
+        return x[tuple(out)]
+
+    return np.stack([s(0, 0), s(1, 0), s(1, 1), s(0, 1)], axis=-2)
+
+
 def net_planarity_residual(x: LatticeField, i: int, j: int) -> float:
     """Largest planarity defect over all elementary (i, j)-quads of a solved net."""
-    vals = x.values
-    sl = [slice(None)] * x.mesh.M
-
-    def shifted(di, dj):
-        s = list(sl)
-        s[i] = slice(1, None) if di else slice(0, -1)
-        s[j] = slice(1, None) if dj else slice(0, -1)
-        return vals[tuple(s)]
-
-    a, b, c, d = shifted(0, 0), shifted(1, 0), shifted(0, 1), shifted(1, 1)
-    e1, e2, e3 = b - a, c - a, d - a
-    E = np.stack([e1, e2, e3], axis=-2)  # (..., 3, N)
+    q = quad_stack(x.values, i, j)
+    E = q[..., [1, 3, 2], :] - q[..., :1, :]  # (..., 3, N): two edges and the diagonal of each quad
     sv = np.linalg.svd(E, compute_uv=False)
     scale = np.maximum(sv[..., 0], 1e-300)
     return float(np.max(sv[..., -1] / scale)) if E.shape[-1] >= 3 else 0.0

@@ -185,7 +185,10 @@ class HyperbolicSystem:
     Step contract.  A class that sets `batched = True` promises a step rule
     with leading batch axes: every value in `vals` carries the same leading
     shape in front of its component shape, and every output carries it too,
-    row by row equal to a call on that row alone.  A domain gate that fails
+    row by row equal to a call on that row alone.  `direction` may be an int
+    array broadcasting against the batch axes, one direction per row: then a
+    component is returned if it evolves in some row's direction, holding nan
+    in the rows whose direction it does not evolve in.  A domain gate that fails
     raises with `row` set to the flat index of the first failing entry (see
     `errors.raise_first`).  The Goursat driver then makes one step call per
     (level, direction, output set).  A scalar rule (`batched = False`, the
@@ -373,32 +376,51 @@ def goursat_solve(
     return {name: LatticeField(mesh, arr) for name, arr in full.items()}
 
 
-def consistency_residual(
-    system: HyperbolicSystem,
-    vals: Mapping[str, np.ndarray],
-    eps: Sequence[float],
-) -> float:
+def _step_rows(system: HyperbolicSystem, directions: list[int], vals, eps, shared: bool, outputs=None):
+    """Step row r of vals (one shared corner, or rows on the leading axis) in directions[r]: one
+    batched call, or one call per row, the values it does not return kept from the row."""
+    if system.batched:
+        return system.step(np.array(directions), vals, eps, outputs)
+    rows = [vals if shared else {k: v[r] for k, v in vals.items()} for r in range(len(directions))]
+    outs = [{**row, **system.step(j, row, eps, outputs)} for row, j in zip(rows, directions)]
+    return {name: np.array([out[name] for out in outs], dtype=float) for name in outs[0]}
+
+
+@functools.lru_cache(maxsize=32)
+def _cross_plan(M: int, statics: tuple):
+    """Rows of `consistency_residual`: its two calls' directions, per component the first-call row each second-call
+    row starts from (len(first): the corner) and the rows (i, j), (j, i), i < j, it is compared on, if any."""
+    evolving = {name: set(range(M)) - set(static) for name, static in statics}
+    first = [j for j in range(M) if any(j in e for e in evolving.values())]
+    pairs = list(itertools.permutations(first, 2))
+    starts = {name: np.array([first.index(i) if i in e else len(first) for i, _ in pairs], dtype=np.intp)
+              for name, e in evolving.items()}
+    compared = [(name, *np.array([[pairs.index((i, j)), pairs.index((j, i)), i, j] for i, j in pairs
+                                  if i < j and {i, j} <= e], dtype=np.intp).T)
+                for name, e in evolving.items() if len(e) > 1]
+    return first, [j for _, j in pairs], starts, compared, tuple(name for name, *_ in compared)
+
+
+def consistency_residual(system: HyperbolicSystem, vals: Mapping[str, np.ndarray], eps: Sequence[float]) -> float:
     """Cross-difference mismatch of the step rules on one elementary cube.
 
-    For every component with two evolution directions i != j, builds the far
-    corner value through both orders and returns the largest mismatch of the
-    second difference quotients, i.e. the residual of the discrete consistency
-    condition delta_j(f_{k,i}) = delta_i(f_{k,j}).
+    For every component with two evolution directions i != j, builds the far corner value
+    through both orders and returns the largest mismatch of the second difference quotients,
+    i.e. the residual of the discrete consistency condition delta_j(f_{k,i}) = delta_i(f_{k,j});
+    a nan mismatch gives nan.  A batched system takes two step calls: the corner in every
+    direction, then each once-shifted corner (keeping the values that do not evolve in its
+    direction) in every other direction, asking only for the compared components.  A scalar
+    system gets the same rows one per call.
     """
     vals = {k: np.asarray(v, dtype=float) for k, v in vals.items()}
-    evolutions = {c.name: set(c.evolution(system.M)) for c in system.components}
-    worst = 0.0
-    once: dict[int, Mapping[str, np.ndarray]] = {}
-    for j in range(system.M):
-        if any(j in e for e in evolutions.values()):
-            once[j] = system.step(j, vals, eps)
-    for i, j in itertools.combinations(sorted(once), 2):
-        ui = {**vals, **once[i]}
-        uj = {**vals, **once[j]}
-        far_ij = system.step(j, ui, eps)
-        far_ji = system.step(i, uj, eps)
-        for comp in system.components:
-            if {i, j} <= evolutions[comp.name] and comp.name in far_ij and comp.name in far_ji:
-                d = np.max(np.abs(far_ij[comp.name] - far_ji[comp.name]))
-                worst = max(worst, float(d) / (eps[i] * eps[j]))
-    return worst
+    first, second, starts, compared, names = _cross_plan(system.M, tuple((c.name, c.static) for c in system.components))
+    if not second:
+        return 0.0
+    once = _step_rows(system, first, vals, eps, shared=True)
+    start = {name: np.concatenate([once[name], v[None]])[starts[name]] if name in once and name in starts
+             else np.broadcast_to(v, (len(second),) + v.shape) for name, v in vals.items()}
+    far = _step_rows(system, second, start, eps, shared=False, outputs=names)
+    e = np.asarray(eps, dtype=float)
+    return float(np.max(np.concatenate([[0.0], *(
+        np.abs(far[name][ij] - far[name][ji]).reshape(len(ij), -1).max(axis=1) / (e[i] * e[j])
+        for name, ij, ji, i, j in compared if name in far)])))

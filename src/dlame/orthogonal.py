@@ -32,6 +32,7 @@ imposed equation, and is verified a posteriori.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ import numpy as np
 from .circles import circularity_residual_batch, point_on_circumcircle
 from .clifford import Algebra
 from .config import TOL
-from .conjugate import extract_rotation_coeffs, solve_conjugate_net
+from .conjugate import extract_rotation_coeffs, quad_stack, solve_conjugate_net
 from .curves import SmoothCurve
 from .errors import (
     DegenerateBasis,
@@ -81,13 +82,23 @@ __all__ = [
 #
 # Every kernel takes leading batch axes on its per-site arguments (h, beta,
 # n_fac, the splitting field and the frame L); mesh sizes and directions are
-# shared.
+# shared unless a kernel says otherwise.
 
 
-def _normal_sq(eps: float, beta: np.ndarray, skip: int) -> np.ndarray:
-    """N_i^2 = 1 - eps^2/4 * sum_{k != skip} beta_k^2 over the batch axes."""
+@functools.lru_cache(maxsize=None)
+def _slots(n: int):
+    """Per slot s of an n-vector: s one-hot, the others, R_{e_(s+1)}'s diagonal as a vector and a matrix."""
+    onehot = np.eye(n, dtype=bool)
+    r_e = np.where(onehot, 1.0, -1.0)
+    return onehot, ~onehot, r_e, np.where(onehot, r_e[:, None, :], 0.0)
+
+
+def _normal_sq(eps, beta: np.ndarray, skip) -> np.ndarray:
+    """N_i^2 = 1 - eps^2/4 * sum_{k != skip} beta_k^2 over the batch axes; eps, skip may be per row."""
     beta = np.asarray(beta, dtype=float)
-    return 1.0 - eps * eps / 4.0 * np.sum(np.delete(beta, skip, axis=-1) ** 2, axis=-1)
+    keep = _slots(beta.shape[-1])[1][skip]
+    kept = beta[..., keep] if keep.ndim == 1 else beta[keep].reshape(keep.shape[:-1] + (-1,))
+    return 1.0 - eps * eps / 4.0 * (kept ** 2).sum(axis=-1)
 
 
 def _too_coarse(row):
@@ -98,33 +109,43 @@ def _outside_admissible_set(row):
     return OutsideDomain("transform data left the admissible set (sum beta^2 >= 4)")
 
 
-def normal_factor(eps: float, beta: np.ndarray, skip: int) -> np.ndarray:
+def normal_factor(eps, beta: np.ndarray, skip) -> np.ndarray:
     """N_i = sqrt(1 - eps^2/4 * sum_{k != skip} beta_k^2); raises SqrtDomain."""
     val = _normal_sq(eps, beta, skip)
     raise_first([(val <= 0.0, _too_coarse)])
     return np.sqrt(val)
 
 
-def sigma_vector(alg: Algebra, d: int, eps: float, h, beta: np.ndarray, n_fac) -> np.ndarray:
-    """Coordinates of Sigma_i = N_i e_d + (eps/2) sum beta_k e_k - eps h einf."""
+def _put(u: np.ndarray, slot, value) -> np.ndarray:
+    """u with u[..., slot] = value; slot an int or an int array over u's batch axes."""
+    if np.ndim(slot):
+        return np.where(_slots(u.shape[-1])[0][slot], np.asarray(value)[..., None], u)
+    u = u.copy()
+    u[..., slot] = value
+    return u
+
+
+def sigma_vector(alg: Algebra, d, eps, h, beta: np.ndarray, n_fac) -> np.ndarray:
+    """Sigma_i = N_i e_d + (eps/2) sum beta_k e_k - eps h einf; d and eps may be per entry."""
     beta = np.asarray(beta, dtype=float)
+    eps = np.asarray(eps, dtype=float)[..., None]
     u = np.zeros(beta.shape[:-1] + (alg.dim,))
     u[..., : alg.n] = (eps / 2.0) * beta
-    u[..., d - 1] = n_fac
+    u = _put(u, d - 1, n_fac)
     u += -eps * np.asarray(h, dtype=float)[..., None] * alg.einf
     return u
 
 
-def _step_factor(alg: Algebra, d: int, eps: float, h, beta: np.ndarray, n_fac) -> np.ndarray:
+def _step_factor(alg: Algebra, d, eps, h, beta: np.ndarray, n_fac) -> np.ndarray:
     """Matrix R_{e_d} R_Sigma (..., dim, dim) of one frame step, L(tau psi) = L(psi) @ it.
 
     R_u = 2 u (eta u)^T - 1 is the matrix of `Algebra.reflect(u, .)`; R_{e_d}
-    is diagonal, +1 in slot d and -1 elsewhere.
+    is diagonal, +1 in slot d and -1 elsewhere.  d and eps may be per entry.
     """
     sig = sigma_vector(alg, d, eps, h, beta, n_fac)
-    r_ed = np.full(alg.dim, -1.0)
-    r_ed[d - 1] = 1.0
-    return 2.0 * (r_ed * sig)[..., :, None] * (alg._metric * sig)[..., None, :] - np.diag(r_ed)
+    _, _, r_e, diag = _slots(alg.dim)
+    slot = d - 1
+    return 2.0 * (r_e[slot] * sig)[..., :, None] * (alg._metric * sig)[..., None, :] - diag[slot]
 
 
 class FrameSurfaceSystem(HyperbolicSystem):
@@ -170,7 +191,7 @@ class FrameSurfaceSystem(HyperbolicSystem):
             n2 = np.sqrt(n2sq)
         beta12 = b2[..., d1 - 1]
         beta21 = b1[..., d2 - 1]
-        theta = 0.5 * np.sum(b1[..., self._rest] * b2[..., self._rest], axis=-1)
+        theta = 0.5 * (b1[..., self._rest] * b2[..., self._rest]).sum(axis=-1)
         e = eps[0]
         if self.splitting == "gamma":
             rho12 = e * n1 * beta12 - e * e / 2.0 * (theta - s)
@@ -188,40 +209,43 @@ class FrameSurfaceSystem(HyperbolicSystem):
         ])
         return rho12, rho21, np.sqrt(nsq), n1, n2
 
-    def step(self, direction: int, vals, eps, outputs=None):
-        want = None if outputs is None else set(outputs)
+    def step(self, direction, vals, eps, outputs=None):
+        """Step each entry in its direction (an int or an int array over the batch
+        axes); h_i and b_i hold nan in the entries stepping in direction i."""
+        want = {"psi", "h1", "h2", "b1", "b2"} if outputs is None else set(outputs)
+        # a = the step direction, b = the other one; first: the entries with a = 0
+        rows = np.ndim(direction) > 0
+        a, e = (np.asarray(direction), np.asarray(eps, dtype=float)) if rows else (int(direction), eps)
+        ea, eb = e[a], e[1 - a]
+        h1, h2, b1, b2 = (np.asarray(vals[name], dtype=float) for name in ("h1", "h2", "b1", "b2"))
+        (d1, d2), first = self.dirs, a == 0
 
-        def wanted(*names):
-            return want is None or any(nm in want for nm in names)
+        def pick(v1, v2, k=0):
+            return np.where(first[(...,) + (None,) * k], v1, v2) if rows else v1 if first else v2
 
-        # a = the step direction, b = the other one
-        a, b = direction, 1 - direction
-        ea, eb = eps[a], eps[b]
-        h = [np.asarray(vals["h1"], dtype=float), np.asarray(vals["h2"], dtype=float)]
-        beta = [np.asarray(vals["b1"], dtype=float), np.asarray(vals["b2"], dtype=float)]
-        da = self.dirs[a]
+        h_a, beta_a, slot = pick(h1, h2), pick(b1, b2, 1), pick(d1 - 1, d2 - 1)
         out = {}
-        transport = wanted("h1", "h2", "b1", "b2")
+        transport = not want.isdisjoint(("h1", "h2", "b1", "b2"))
         if transport:
             rho12, rho21, n, n1, n2 = self.splitting_rhos(vals, eps)
-            rho_ab, n_a = (rho12, n1) if a == 0 else (rho21, n2)
-        if wanted("psi"):
-            n_step = n_a if transport else normal_factor(ea, beta[a], da - 1)
-            out["psi"] = np.asarray(vals["psi"], dtype=float) @ _step_factor(
-                self.alg, da, ea, h[a], beta[a], n_step)
+            rho_ab, n_a = pick(rho12, rho21), pick(n1, n2)
+        if "psi" in want:
+            if not transport:
+                n_a = normal_factor(ea, beta_a, slot)
+            out["psi"] = np.asarray(vals["psi"], dtype=float) @ _step_factor(self.alg, slot + 1, ea, h_a, beta_a, n_a)
         if transport:
-            hb, bb, ba = h[b], beta[b], beta[a]
-            out[f"h{b + 1}"] = hb + ea * (rho_ab / (eb * n) * h[a] + (1.0 - n) / (ea * n) * hb)
-            new_b = bb.copy()
-            new_b[..., da - 1] = bb[..., da - 1] + ea * (
-                2.0 * n_a * rho_ab / (eps[0] * eps[1] * n) - (1.0 + n) / (ea * n) * bb[..., da - 1]
-            )
+            hb, bb, bd = pick(h2, h1), pick(b2, b1, 1), pick(b2[..., d1 - 1], b1[..., d2 - 1])
+            r_ab, r_n = rho_ab / (eb * n), (1.0 - n) / (ea * n)
+            new_h = hb + ea * (r_ab * h_a + r_n * hb)
+            new_b = _put(bb, slot, bd + ea * (2.0 * n_a * rho_ab / (e[0] * e[1] * n) - (1.0 + n) / (ea * n) * bd))
             rest = self._rest
-            new_b[..., rest] = bb[..., rest] + ea * (
-                ((1.0 - n) / (ea * n))[..., None] * bb[..., rest]
-                + (rho_ab / (eb * n))[..., None] * ba[..., rest]
-            )
-            out[f"b{b + 1}"] = new_b
+            new_b[..., rest] = bb[..., rest] + (ea[..., None] if rows else ea) * (
+                r_n[..., None] * bb[..., rest] + r_ab[..., None] * beta_a[..., rest])
+            # h_b and b_b evolve in direction a only
+            for k, mine in enumerate((a != 0, first)):
+                if mine.any() if rows else mine:
+                    out[f"h{k + 1}"] = np.where(mine, new_h, np.nan) if rows else new_h
+                    out[f"b{k + 1}"] = np.where(mine[..., None], new_b, np.nan) if rows else new_b
         return out
 
 
@@ -439,19 +463,8 @@ def csurface_solve(data: CSurfaceData, request=None) -> CSurfaceResult:
         request = ("psi",)
     mesh = MeshSpec(eps=data.eps, npts=data.npts, tail=tail)
     system = FrameSurfaceSystem(alg, dirs=data.dirs, splitting=data.splitting)
-    fields = goursat_solve(
-        system,
-        mesh,
-        {
-            "psi": data.psi0,
-            "h1": data.h1,
-            "b1": data.b1,
-            "h2": data.h2,
-            "b2": data.b2,
-            "split": data.split,
-        },
-        request=request,
-    )
+    fields = goursat_solve(system, mesh, {"psi": data.psi0, **{name: getattr(data, name) for name in
+                                                              ("h1", "b1", "h2", "b2", "split")}}, request=request)
     x = frame_points(alg, fields["psi"].values)
     return CSurfaceResult(alg, mesh, data.dirs, data.splitting, fields, x)
 
@@ -461,30 +474,12 @@ def frame_points(alg: Algebra, psi_values: np.ndarray) -> np.ndarray:
     return alg.drop_to_euclidean(psi_values @ alg.e0)
 
 
-def quad_stack(x: np.ndarray, axis_i: int = 0, axis_j: int = 1) -> np.ndarray:
-    """All elementary (i, j)-quads of a point field as an array (..., 4, N)."""
-    sl = [slice(None)] * (x.ndim - 1)
-
-    def s(di, dj):
-        out = list(sl)
-        out[axis_i] = slice(1, None) if di else slice(0, -1)
-        out[axis_j] = slice(1, None) if dj else slice(0, -1)
-        return x[tuple(out)]
-
-    return np.stack([s(0, 0), s(1, 0), s(1, 1), s(0, 1)], axis=-2)
-
-
 def lame_residuals(res: CSurfaceResult) -> dict[str, float]:
     """A-posteriori residuals of the frame-system invariants on a solved surface."""
     alg = res.alg
     d1, d2 = res.dirs
     system = FrameSurfaceSystem(alg, res.dirs, res.splitting)
-    psi = res.fields["psi"].values
-    h1 = res.fields["h1"].values
-    h2 = res.fields["h2"].values
-    b1 = res.fields["b1"].values
-    b2 = res.fields["b2"].values
-    split = res.fields["split"].values
+    psi, h1, h2, b1, b2, split = (res.fields[name].values for name in ("psi", "h1", "h2", "b1", "b2", "split"))
     eps = res.mesh.eps
 
     rho12, rho21, nfac, N1, N2 = system.splitting_rhos({"b1": b1, "b2": b2, "split": split}, eps)
@@ -570,18 +565,9 @@ def orthosys_assemble(spec: OrthoSurfaceSpec) -> OrthosysResult:
     surfaces = {}
     cdata = {}
     for i, j in itertools.combinations(_LABELS, 2):
-        data = CSurfaceData(
-            alg=alg,
-            psi0=spec.psi0,
-            eps=(eps, eps),
-            npts=(npts, npts),
-            dirs=(i, j),
-            h1=spec.axis[i].h,
-            b1=spec.axis[i].beta,
-            h2=spec.axis[j].h,
-            b2=spec.axis[j].beta,
-            split=spec.gamma[(i, j)],
-        )
+        data = CSurfaceData(alg=alg, psi0=spec.psi0, eps=(eps, eps), npts=(npts, npts), dirs=(i, j),
+                            h1=spec.axis[i].h, b1=spec.axis[i].beta, h2=spec.axis[j].h, b2=spec.axis[j].beta,
+                            split=spec.gamma[(i, j)])
         surf = csurface_solve(data)
         surfaces[(i, j)] = surf
         x = surf.x
@@ -820,16 +806,8 @@ def ribaucour_pair_3d(
     pairs = {}
     for a, i in enumerate(_LABELS):
         d2 = _LABELS[(a + 1) % 3]
-        data = ribaucour_data(
-            alg,
-            spec.axis[i],
-            np.asarray([alpha_fns[i](s * eps) for s in range(spec.npts)], dtype=float),
-            spec.x0,
-            xplus0,
-            spec.psi0,
-            (i, d2),
-            eps,
-        )
+        alpha = np.asarray([alpha_fns[i](s * eps) for s in range(spec.npts)], dtype=float)
+        data = ribaucour_data(alg, spec.axis[i], alpha, spec.x0, xplus0, spec.psi0, (i, d2), eps)
         res = csurface_solve(data)
         pairs[i] = RibaucourResult(alg, res, res.x, (i, d2))
         c_in[(a, 3)], c_in[(3, a)] = _pair_coeffs(pairs[i], n, eps)

@@ -58,6 +58,14 @@ class TestExitCodes:
                    "--seed", "0.5,0.0", "--eps", "0.1", "--r", "0.5"])
         assert rc == 1
 
+    @pytest.mark.parametrize("exts", [("csv", "json", "svg"), ("json", "svg"), ("csv", "svg")])
+    def test_rejected_svg_leaves_no_file(self, tmp_path, exts):
+        # a 1 x 1 net has no cell to draw: the SVG gate rejects it before any file is written
+        paths = [tmp_path / f"a.{ext}" for ext in exts]
+        argv = ["csurface", "--oracle", "elliptic", "--eps", "1.0", "--r", "0.5"]
+        assert main(argv + [arg for p in paths for arg in (f"--{p.suffix[1:]}", str(p))]) == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_success_exit_0(self, tmp_path):
         out = tmp_path / "x.csv"
         rc = main(["csurface", "--oracle", "elliptic", "--eps", "pi/10",

@@ -343,15 +343,16 @@ class TestConsistency:
 
     def test_broken_rule_detected(self, rng):
         class Broken(ConjugateSystem):
-            def step(self, j, vals, eps, outputs=None):
-                out = super().step(j, vals, eps, outputs)
+            def step(self, direction, vals, eps, outputs=None):
+                out = super().step(direction, vals, eps, outputs)
+                rows = np.asarray(direction)
                 for a, b in itertools.combinations(range(self.M), 2):
-                    if j in (a, b):
-                        continue
                     name = cname(a + 1, b + 1)
-                    if name in out:
-                        # drop one product term of the evolution equation
-                        out[name] = out[name] + eps[j] * vals[cname(a + 1, j + 1)] * vals[cname(j + 1, b + 1)]
+                    for j in set(range(self.M)) - {a, b}:
+                        if name in out:
+                            # drop one product term of the evolution equation, in the rows stepping in j
+                            term = eps[j] * vals[cname(a + 1, j + 1)] * vals[cname(j + 1, b + 1)]
+                            out[name] = np.where(rows == j, out[name] + term, out[name])
                 return out
 
         system = Broken(3, 3)
