@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -135,10 +135,13 @@ def _implicit_blocks(c: np.ndarray, eps, triple, tail_dirs, need=None):
     A[..., _ENTRIES] = entries
     A = A.reshape(batch + (ntrip, 6, 6))
     F = cak * ckb + cka * cab - ckb * cab
-    if need is not None:  # a block an entry does not read: an identity with a nan right-hand side
+    if need is not None and batch and not need.all():
+        # a block an entry does not read is an identity with a nan right-hand side
         A, F = np.where(need[..., None, None], A, np.eye(6)), np.where(need[..., None], F, np.nan)
     # no row vanishes: a row with c_ab = 0 has diagonal 1, one with c_ab != 0 the entry -eps_b c_ab
     ratio = np.abs(np.linalg.det(A)) / np.sqrt(np.einsum("...ij,...ij->...i", A, A)).prod(axis=-1)
+    if need is not None:  # every entry is gated on the blocks it reads
+        ratio = np.where(need, ratio, np.inf)
     checks = []
     if plan.tail_msg:
         cmax = np.max(np.abs(cf[..., plan.block]), axis=-1)
@@ -162,7 +165,9 @@ def dcn_step_c(c: np.ndarray, eps, triple=None, tail_dirs=(), need=None) -> dict
     selects one unordered index triple, a list of them, or all (None); the
     blocks of every batch entry are assembled and factored as one stacked
     batch.  `need`, boolean (..., ntrip) over the batch axes and the triples,
-    marks the blocks each entry reads; the others are not gated and read nan.
+    marks the blocks each entry reads; the others are not gated, and they read
+    nan where c carries batch axes (a corner without them, shared by every
+    entry, has each of its blocks solved once).
     Returns {(a, b, c): delta_a c_bc} with values over the batch axes,
     covering every ordered pair inside the requested triple(s).  Raises
     DegenerateHexahedron, carrying the first offending batch row, when the
@@ -218,8 +223,8 @@ def _advance(state: CornerState, a: np.ndarray, eps, triples: tuple, tail_dirs, 
     """The one conjugate step kernel: tau_a x and tau_a w (unless state.w is None;
     w only if `edges`) and tau_a c for the direction a of each entry (an int
     array broadcasting against the batch axes), from the blocks of `triples`
-    solved in one `dcn_step_c` call, of which direction d reads need[d] (None:
-    all).  Row a of w and the c_pq no solved block covers are nan."""
+    solved in one `dcn_step_c` call, of which each entry reads need[..., t]
+    (None: all).  Row a of w and the c_pq no solved block covers are nan."""
     if state.w is None:
         x = w = None
         ea = _at(np.asarray(eps, dtype=float), 1, a)[..., None]
@@ -227,8 +232,7 @@ def _advance(state: CornerState, a: np.ndarray, eps, triples: tuple, tail_dirs, 
         x, w, ea = _shift_edges(state, a, eps, edges)
     delta = {}
     if triples:
-        delta = (dcn_step_c(state.c, eps, triples, tail_dirs) if need is None
-                 else dcn_step_c(state.c, eps, triples, tail_dirs, need=need[a]))
+        delta = dcn_step_c(state.c, eps, triples, tail_dirs, need=need)
     if a.ndim == 0:  # one direction: the entries its solved blocks cover
         c = state.c + ea[..., None] * np.nan
         for (i, p, q), value in delta.items():
@@ -253,14 +257,17 @@ def _cnames(M: int) -> tuple:
 @functools.lru_cache(maxsize=None)
 def _step_plan(M: int, dirs: tuple, outputs):
     """(name, *static directions) of each component `ConjugateSystem.step` returns (evolving in
-    one of `dirs`, named by `outputs` unless None), the triples it solves, the need table."""
+    one of `dirs`, named by `outputs` unless None), the triples it solves, cover[d, t, k]: whether
+    direction d's block of triple t gives the k-th coefficient returned, and the need table
+    cover.any(-1) (None where every direction of `dirs` reads every block)."""
     ret = tuple(n for n in (("x",), *((f"w{i + 1}", i) for i in range(M)), *_cnames(M))
                 if (outputs is None or n[0] in outputs) and set(dirs) - set(n[1:]))
-    pairs = {tuple(sorted(n[1:])) for n in ret if len(n) == 3}
-    triples = tuple(sorted({tuple(sorted((d, *pq))) for pq in pairs for d in dirs if d not in pq}))
-    need = np.array([[d in t and tuple(sorted(set(t) - {d})) in pairs for t in triples] for d in range(M)],
-                    dtype=bool)
-    return ret, triples, None if need[list(dirs)].all() else need
+    coeffs = [set(n[1:]) for n in ret if len(n) == 3]
+    triples = tuple(sorted({tuple(sorted({d, *pq})) for pq in coeffs for d in dirs if d not in pq}))
+    cover = np.array([[[d in t and set(t) - {d} == pq for pq in coeffs] for t in triples] for d in range(M)],
+                     dtype=bool).reshape(M, len(triples), len(coeffs))
+    need = cover.any(axis=-1)
+    return ret, triples, cover, None if need[list(dirs)].all() else need
 
 
 class ConjugateSystem(HyperbolicSystem):
@@ -283,8 +290,14 @@ class ConjugateSystem(HyperbolicSystem):
     def step(self, direction, vals, eps, outputs=None):
         """Pack the components into a corner state, advance it, unpack the outputs."""
         M, a = self.M, np.asarray(direction)
-        ret, triples, need = _step_plan(M, tuple(sorted(set(a.ravel().tolist()))),
-                                        None if outputs is None else tuple(outputs))
+        ret, triples, cover, need = _step_plan(M, tuple(sorted(set(a.ravel().tolist()))),
+                                               None if outputs is None else tuple(outputs))
+        if isinstance(outputs, Mapping) and triples:
+            # per row: the blocks that give a coefficient the row owns
+            owns = np.broadcast_arrays(*(outputs[name] for name, *at in ret if len(at) == 2))
+            need = (cover[a] & np.stack(owns, axis=-1)[..., None, :]).any(axis=-1)
+        elif need is not None:
+            need = need[a]
         x = np.asarray(vals["x"], dtype=float)
         c = np.zeros(x.shape[:-1] + (M, M))
         for name, p, q in _cnames(M):
@@ -307,14 +320,22 @@ def shift_state(state: CornerState, direction, eps, tail_dirs=()) -> CornerState
     broadcast batch shape, each entry stepped in its own direction.  The
     blocks of every triple that contains a requested direction and whose
     coefficients are known in every batch entry are solved in one
-    `dcn_step_c` call, so shifting one corner in several directions at once
-    solves each block once.
+    `dcn_step_c` call, each entry gated only on the blocks that contain its
+    direction, so a failing gate names the first entry that reads the block.
     """
     a = np.asarray(direction)
     dirs = set(a.ravel().tolist())
     known = (~np.isnan(state.c)).all(axis=tuple(range(state.c.ndim - 2))).tolist()
-    return _advance(state, a, eps, tuple(t for t in itertools.combinations(range(state.M), 3) if dirs & set(t)
-                                          and all(known[p][q] for p, q in itertools.permutations(t, 2))), tail_dirs)
+    triples = tuple(t for t in itertools.combinations(range(state.M), 3)
+                    if dirs & set(t) and all(known[p][q] for p, q in itertools.permutations(t, 2)))
+    need = _members(state.M, triples)[a] if len(dirs) > 1 else None
+    return _advance(state, a, eps, triples, tail_dirs, need)
+
+
+@functools.lru_cache(maxsize=None)
+def _members(M: int, triples: tuple) -> np.ndarray:
+    """(M, len(triples)): whether direction d is in triple t."""
+    return np.array([[d in t for t in triples] for d in range(M)], dtype=bool).reshape(M, len(triples))
 
 
 def hexahedron_algebraic(state: CornerState, eps) -> np.ndarray:

@@ -7,9 +7,10 @@ hyperbolic systems declare, per dependent component, the static directions
 (where Goursat data live) and a step rule; the driver fills the box level by
 level, pulling each unknown from its lowest-index evolution direction, which
 makes the result independent of the site enumeration order by construction.
-The schedule of that fill (see goursat_solve) is compiled once per system
-structure, box size and request into a plan kept in a bounded, process-local
-cache, so a solve only gathers, steps and scatters.
+A level is filled by one step call whose rows each carry their own direction
+and the outputs they own.  The schedule of that fill (see goursat_solve) is
+compiled once per system structure, box size and request into a plan kept in
+a bounded, process-local cache, so a solve only gathers, steps and scatters.
 """
 
 from __future__ import annotations
@@ -188,11 +189,15 @@ class HyperbolicSystem:
     row by row equal to a call on that row alone.  `direction` may be an int
     array broadcasting against the batch axes, one direction per row: then a
     component is returned if it evolves in some row's direction, holding nan
-    in the rows whose direction it does not evolve in.  A domain gate that fails
-    raises with `row` set to the flat index of the first failing entry (see
-    `errors.raise_first`).  The Goursat driver then makes one step call per
-    (level, direction, output set).  A scalar rule (`batched = False`, the
-    default) receives one site per call through the same grouping, so
+    in the rows whose direction it does not evolve in.  `outputs` may also map
+    each name to a boolean mask over the batch axes, the rows that own it: a
+    row is then gated only on what its own outputs read, and holds unspecified
+    values in the outputs it does not own.  A domain gate that fails raises
+    with `row` set to the flat index of the first failing entry (see
+    `errors.raise_first`).  The Goursat driver makes one step call per level,
+    with a direction and a mask row per (destination site, direction) pair.
+    A scalar rule (`batched = False`, the default) receives one such row per
+    call, with its own direction and the tuple of its own outputs, so
     user-defined per-site rules keep working unchanged.
     """
 
@@ -241,11 +246,14 @@ def _signature(system: HyperbolicSystem) -> tuple:
 
 @functools.lru_cache(maxsize=32)
 def _fill_plan(signature: tuple, npts: tuple[int, ...], request: tuple[str, ...] | None):
-    """Per level, the step calls that fill a box of `npts` sites (see goursat_solve).
+    """Per level with work, the one step call that fills it on a box of `npts` sites (see goursat_solve).
 
-    A call is (direction, outputs, src, dst, pos, rank): read-only flat C-order
-    source and destination sites, the fill-order position of each destination
-    within its level, and the declaration index of the first output component.
+    A call is (outputs, dirs, src, dst, mask): the union of its output names
+    (sorted), then per row the step direction and the read-only flat C-order
+    source and destination sites, and mask[row, k] whether the row owns
+    outputs[k].  A row is a (destination site, direction) pair; rows are in
+    fill order: by the site's position within its level, then by the
+    declaration index of the row's first output.
     """
     M, names = len(npts), [name for name, _, _ in signature]
     coords = np.indices(npts).reshape(M, -1)
@@ -276,25 +284,26 @@ def _fill_plan(signature: tuple, npts: tuple[int, ...], request: tuple[str, ...]
             need[read, (sites[row] - strides[j])[pull]] = True
 
     seq = np.concatenate(levels)
-    level = np.repeat(np.arange(len(levels)), [len(sites) for sites in levels])
-    pos = np.concatenate([np.arange(len(sites)) for sites in levels])
-    plan: list[list[tuple]] = [[] for _ in levels]
-    for j in range(M):
-        # one group per (level, output set); sets sort like np.unique's rows
-        flags = (producer[:, seq] == j) & need[:, seq]
-        order = np.lexsort((*flags[::-1], level))
-        order = order[flags[:, order].any(axis=0)]
-        dst, lev, on, at = seq[order], level[order], flags[:, order], pos[order]
-        src = dst - strides[j]
-        for a in (src, dst, at):
-            a.flags.writeable = False
-        changed = (on != np.roll(on, 1, axis=1)).any(axis=0)  # set differs from the previous one
-        starts = np.flatnonzero(np.diff(lev, prepend=-1) | changed)
-        for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(dst)]):
-            comps = np.flatnonzero(on[:, lo]).tolist()
-            plan[lev[lo]].append((j, tuple(sorted(names[c] for c in comps)),
-                                  src[lo:hi], dst[lo:hi], at[lo:hi], comps[0]))
-    return tuple(tuple(steps) for steps in plan)
+    # rows of every direction; k indexes seq, so sorting by k orders by (level, position)
+    on = np.stack([(producer[:, seq] == j) & need[:, seq] for j in range(M)], axis=1)  # (comp, dir, site)
+    j, k = np.nonzero(on.any(axis=0))
+    mask = on[:, j, k].T
+    order = np.lexsort((mask.argmax(axis=1), k))
+    dirs, dst, mask = j[order], seq[k[order]], mask[order]
+    src = dst - strides[dirs]
+    level = np.repeat(np.arange(len(levels)), [len(sites) for sites in levels])[k[order]]
+    bounds = np.flatnonzero(np.diff(level, prepend=-1, append=len(levels))).tolist()
+    plan = []
+    # read-only before slicing: a view of a read-only array cannot be made writeable
+    for a in (dirs, src, dst):
+        a.flags.writeable = False
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        used = np.flatnonzero(mask[lo:hi].any(axis=0))
+        cols = used[np.argsort([names[c] for c in used], kind="stable")]
+        own = mask[lo:hi, cols].copy()
+        own.flags.writeable = False
+        plan.append((tuple(names[c] for c in cols), dirs[lo:hi], src[lo:hi], dst[lo:hi], own[:]))
+    return tuple(plan)
 
 
 def goursat_solve(
@@ -311,8 +320,11 @@ def goursat_solve(
     the lowest evolution direction with a positive coordinate, so the output
     does not depend on the site enumeration order.  Every value on level
     sum(idx) = k is read from level k - 1 only, so a level is filled by one
-    step call per (direction, set of output components), batched over its
-    source sites when the system is `batched`, one site per call otherwise.
+    step call when the system is `batched`: one row per (destination site,
+    direction) pair that produces a value, with per-row directions, the union
+    of the level's output names as `outputs`, each mapped to the mask of the
+    rows that own it, and each output scattered from its own rows only.  A
+    scalar system gets one call per row, with the row's direction and outputs.
 
     A step rule that raises is reported as DomainViolation carrying the
     source site (plain-float coordinates), the step direction and the cause
@@ -328,8 +340,9 @@ def goursat_solve(
     The schedule of step calls (the fill plan) is a pure function of the
     components' names, static directions and read sets, of `mesh.npts` and
     of the set of requested names.  It is built once per such key, vectorised
-    over the box, and kept in a bounded, process-local LRU cache; a solve
-    then only gathers, steps and scatters on flat views of the fields.
+    over the box (per level: row directions, source and destination sites and
+    one output mask array), and kept in a bounded, process-local LRU cache; a
+    solve then only gathers, steps and scatters on flat views of the fields.
     """
     if mesh.M != system.M:
         raise ValueError("mesh dimension does not match the system")
@@ -352,27 +365,28 @@ def goursat_solve(
         full[comp.name][static] = np.broadcast_to(np.asarray(arr, dtype=float), stat_shape + comp.shape)
 
     flat = {comp.name: full[comp.name].reshape((-1,) + comp.shape) for comp in comps}
-    for steps in plan:
-        failures = []
-        for j, outputs, src, dst, pos, rank in steps:
-            calls = [(src, dst)] if system.batched else zip(src.tolist(), dst.tolist())
-            for k, (s, d) in enumerate(calls):
-                try:
-                    out = system.step(j, {name: vals[s] for name, vals in flat.items()}, mesh.eps,
-                                      outputs=outputs)
-                except Exception as exc:
-                    # a batched call that fails outside a gate is charged to its first row
-                    row = (getattr(exc, "row", None) or 0) if system.batched else k
-                    failures.append(((int(pos[row]), rank), int(src[row]), j, exc))
-                    break
-                for name in outputs:
+    for outputs, dirs, src, dst, mask in plan:
+        if system.batched:
+            calls = [(dirs, src, dst, dict(zip(outputs, mask.T)))]
+        else:
+            calls = [(j, s, d, tuple(itertools.compress(outputs, own)))
+                     for j, s, d, own in zip(dirs.tolist(), src.tolist(), dst.tolist(), mask.tolist())]
+        # rows are in fill order, so the first failing row is the solve's first failure
+        for k, (j, s, d, own) in enumerate(calls):
+            try:
+                out = system.step(j, {name: vals[s] for name, vals in flat.items()}, mesh.eps, outputs=own)
+            except DomainViolation:
+                raise
+            except Exception as exc:
+                # a batched call that fails outside a gate is charged to its first row
+                row = (getattr(exc, "row", None) or 0) if system.batched else k
+                site = [int(i) for i in np.unravel_index(src[row], mesh.shape)]
+                raise DomainViolation(mesh.coords(site), int(dirs[row]), exc) from exc
+            for name in own:
+                if system.batched:
+                    flat[name][d[own[name]]] = out[name][own[name]]
+                else:
                     flat[name][d] = out[name]
-        if failures:
-            _, src, j, exc = min(failures, key=lambda f: f[0])
-            if isinstance(exc, DomainViolation):
-                raise exc
-            site = [int(i) for i in np.unravel_index(src, mesh.shape)]
-            raise DomainViolation(mesh.coords(site), j, exc) from exc
     return {name: LatticeField(mesh, arr) for name, arr in full.items()}
 
 

@@ -36,6 +36,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -178,8 +179,10 @@ class FrameSurfaceSystem(HyperbolicSystem):
         ]
         super().__init__(2, comps)
 
-    def splitting_rhos(self, vals, eps):
-        """(rho_12, rho_21, n, N_1, N_2) over the batch axes; checks all domain gates."""
+    def splitting_rhos(self, vals, eps, rows=True, checks=()):
+        """(rho_12, rho_21, n, N_1, N_2) over the batch axes; checks every domain gate in the
+        entries `rows` (True: all, or a boolean mask over the batch axes), and the `raise_first`
+        checks `checks` with them."""
         d1, d2 = self.dirs
         b1 = np.asarray(vals["b1"], dtype=float)
         b2 = np.asarray(vals["b2"], dtype=float)
@@ -200,18 +203,22 @@ class FrameSurfaceSystem(HyperbolicSystem):
             rho21 = e * s
             rho12 = n1 * beta12 + e * (n2 * beta21 - theta - s)
         nsq = 1.0 - rho12 * rho21
-        raise_first([
+        gates = [
             (n1sq <= 0.0, _too_coarse),
             (n2sq <= 0.0, _outside_admissible_set if self.splitting == "alpha" else _too_coarse),
             (nsq <= 0.0, lambda row: SqrtDomain("normalizer n^2 = 1 - rho12 rho21 left the positive domain")),
             (np.abs(-(rho12 + rho21) / 2.0 - 1.0) < TOL.line_circle,
              lambda row: DegenerateCircle("elementary circle degenerated to a line")),
-        ])
+        ]
+        if rows is not True:  # the entries outside `rows` are not gated, and their n may be garbage
+            gates, nsq = [(bad & rows, err) for bad, err in gates], np.where(rows, nsq, 1.0)
+        raise_first([*gates, *checks])
         return rho12, rho21, np.sqrt(nsq), n1, n2
 
     def step(self, direction, vals, eps, outputs=None):
         """Step each entry in its direction (an int or an int array over the batch
-        axes); h_i and b_i hold nan in the entries stepping in direction i."""
+        axes); h_i and b_i hold nan in the entries stepping in direction i.  An entry
+        is gated on the splitting if it owns h or b, else on N_a^2 > 0."""
         want = {"psi", "h1", "h2", "b1", "b2"} if outputs is None else set(outputs)
         # a = the step direction, b = the other one; first: the entries with a = 0
         rows = np.ndim(direction) > 0
@@ -227,7 +234,14 @@ class FrameSurfaceSystem(HyperbolicSystem):
         out = {}
         transport = not want.isdisjoint(("h1", "h2", "b1", "b2"))
         if transport:
-            rho12, rho21, n, n1, n2 = self.splitting_rhos(vals, eps)
+            gated, checks = True, []
+            if "psi" in want and isinstance(outputs, Mapping):
+                # the rows that own h or b are gated on the splitting, the others on N_a^2 > 0 alone
+                gated = np.logical_or.reduce([outputs[name] for name in ("h1", "h2", "b1", "b2") if name in want])
+                alone = outputs["psi"] & ~gated
+                if alone.any():
+                    checks.append(((_normal_sq(ea, beta_a, slot) <= 0.0) & alone, _too_coarse))
+            rho12, rho21, n, n1, n2 = self.splitting_rhos(vals, eps, gated, checks)
             rho_ab, n_a = pick(rho12, rho21), pick(n1, n2)
         if "psi" in want:
             if not transport:

@@ -2,9 +2,11 @@
 
 `goursat_solve` and `_fill` below are the driver as it was before the plan:
 demand marking, producer directions and `np.unique` grouping re-derived on
-every call.  The differential tests in test_goursat_plan.py hold the planned
-driver to bitwise-equal fields, nan patterns, step-call sequences and
-`DomainViolation` reports against it.
+every call, one step call per (level, direction, set of output components).
+The differential tests in test_goursat_plan.py hold the planned driver to
+bitwise-equal fields, nan patterns and `DomainViolation` reports against it,
+and its one call per level to rows (source site, direction, outputs) equal
+to this driver's calls split into rows, in fill order.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ per call through the frame kernels as they were (`np.delete` per call, the
 reflection built per call).  `consistency_residual` is the check as it was
 when it made one single-direction step call per shifted corner.  The
 differential tests in test_step_kernel.py hold the new code to bitwise-equal
-Goursat fields, nan patterns and step-call sequences, and to bitwise-equal
+Goursat fields, nan patterns and step-call rows (the reference systems run
+through the reference driver of goursat_reference.py), and to bitwise-equal
 criterion-02 residuals, against them.
 """
 

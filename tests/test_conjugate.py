@@ -371,8 +371,8 @@ class TestConsistency:
         # one call for the four triples of the corner; the shifted cubes are gated, not solved
         calls = []
 
-        def counting(c, eps, triple=None, tail_dirs=()):
-            out = dcn_step_c(c, eps, triple, tail_dirs)
+        def counting(c, eps, triple=None, tail_dirs=(), need=None):
+            out = dcn_step_c(c, eps, triple, tail_dirs, need)
             calls.append(len(out) // 6)
             return out
 

@@ -1,10 +1,12 @@
 """The compiled Goursat fill plan: differential tests against the per-call
-driver it replaced (goursat_reference.py), the vectorised level enumeration
-and the safety of the plan cache."""
+driver it replaced (goursat_reference.py), per-row gating inside the one step
+call of a level, the vectorised level enumeration and the safety of the plan
+cache."""
 
 import itertools
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +14,9 @@ import pytest
 
 from dlame import conjugate, orthogonal
 from dlame.clifford import algebra
-from dlame.conjugate import ConjugateSystem, solve_conjugate_net
+from dlame.conjugate import ConjugateSystem, _implicit_blocks, cname, dcn_step_c, solve_conjugate_net
 from dlame.curves import warped_circle_curve
-from dlame.errors import DomainViolation
+from dlame.errors import DegenerateHexahedron, DomainViolation, SqrtDomain
 from dlame.lattice import Component, HyperbolicSystem, MeshSpec, _fill_plan, _signature, goursat_solve
 from dlame.oracles import EllipticOracle, SphericalOracle, csurface_data_from_oracle
 from dlame.orthogonal import csurface_solve, ribaucour_pair_3d, ribaucour_solve
@@ -25,29 +27,73 @@ from test_lattice import LinearSystem, ScalarSiteGate, SiteGate
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _recorded(system, solve, mesh, data, request):
-    """Run one solve with the system's step calls recorded as
-    (direction, outputs, shape of the first gathered value)."""
-    calls = []
-    inner = system.step
+def _request_key(request):
+    return None if request is None else tuple(sorted(set(request)))
+
+
+def reference_rows(system, mesh, data, request=None):
+    """The reference driver's fields, and its step calls split into rows
+    (flat source site, direction, outputs) in fill order: by the destination's
+    position in `MeshSpec.levels()` order, then by the declaration index of
+    the row's first output."""
+    calls, inner = [], goursat_reference._fill
+
+    def fill(system, j, outputs, src, dst, full, eps):
+        calls.append((j, outputs, np.ravel_multi_index(tuple(src.T), mesh.shape),
+                      np.ravel_multi_index(tuple(dst.T), mesh.shape)))
+        return inner(system, j, outputs, src, dst, full, eps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(goursat_reference, "_fill", fill)
+        fields = goursat_reference.goursat_solve(system, mesh, data, request=request)
+    seq = np.concatenate([np.ravel_multi_index(tuple(sites.T), mesh.shape) for sites in mesh.levels()])
+    position = np.argsort(seq)
+    rank = {c.name: k for k, c in enumerate(system.components)}
+    rows = sorted((int(position[d]), min(rank[name] for name in outputs), s, j, outputs)
+                  for j, outputs, src, dst in calls for s, d in zip(src.tolist(), dst.tolist()))
+    return fields, [row[2:] for row in rows]
+
+
+def planned_rows(system, mesh, data, request=None):
+    """The planned driver's fields, and its step calls split into rows (flat
+    source site, direction, the outputs the row owns) in call order.  A batched
+    system gets one call per level with work, with per-row directions and a
+    per-row output mask; a scalar one gets one call per row."""
+    calls, inner = [], system.step
 
     def step(j, vals, eps, outputs=None):
-        calls.append((j, outputs, np.shape(next(iter(vals.values())))))
+        if system.batched:
+            assert np.shape(j) == np.shape(next(iter(vals.values())))[:1]
+            calls.append([(int(d), tuple(name for name in outputs if outputs[name][r]))
+                          for r, d in enumerate(np.asarray(j).tolist())])
+        else:
+            calls.append([(j, outputs)])
         return inner(j, vals, eps, outputs=outputs)
 
     system.step = step
     try:
-        return solve(system, mesh, data, request=request), calls
+        fields = goursat_solve(system, mesh, data, request=request)
     finally:
         del system.step
+    plan = _fill_plan(_signature(system), tuple(mesh.npts), _request_key(request))
+    if system.batched:
+        assert len(calls) == len(plan)
+        for call, (outputs, dirs, *_) in zip(calls, plan):
+            assert [d for d, _ in call] == dirs.tolist()
+            assert sorted(set().union(*(own for _, own in call))) == list(outputs)
+    src = [s for _, _, level_src, *_ in plan for s in level_src.tolist()]
+    rows = [row for call in calls for row in call]
+    assert len(rows) == len(src)
+    return fields, [(s, d, own) for s, (d, own) in zip(src, rows)]
 
 
 def solve_both(system, mesh, data, request=None):
-    """Planned solve, checked against the reference driver: the same step
-    calls in the same order and bitwise-equal fields (nan patterns included)."""
-    ref, ref_calls = _recorded(system, goursat_reference.goursat_solve, mesh, data, request)
-    new, new_calls = _recorded(system, goursat_solve, mesh, data, request)
-    assert new_calls == ref_calls
+    """Planned solve, checked against the reference driver: fused step calls
+    whose rows are the reference calls' rows in fill order, and bitwise-equal
+    fields (nan patterns included)."""
+    ref, ref_rows = reference_rows(system, mesh, data, request)
+    new, new_rows = planned_rows(system, mesh, data, request)
+    assert new_rows == ref_rows
     assert list(new) == list(ref)
     for name in ref:
         assert new[name].values.dtype == ref[name].values.dtype
@@ -112,7 +158,10 @@ class Wide(HyperbolicSystem):
             for k, name in enumerate(names)])
 
     def step(self, j, vals, eps, outputs=None):
-        return {name: 0.9 * vals[name] + 0.1 * vals[self.reads[name, j][-1]] + j + 1.0 for name in outputs}
+        # each row reads per its own direction; a component static in 0 has no rule in 0 and no row there
+        nxt = {name: vals[self.reads.get((name, 0), (name,))[-1]] for name in outputs}
+        return {name: 0.9 * vals[name] + 0.1 * np.where(np.asarray(j) == 0, nxt[name], vals[self.reads[name, 1][-1]])
+                + j + 1.0 for name in outputs}
 
 
 class TestAgainstReferenceDriver:
@@ -219,6 +268,89 @@ class TestAgainstReferenceDriver:
         assert type(new.cause) is type(ref.cause)
 
 
+def _first_violation(solve, run):
+    """(site, direction, cause type) of the DomainViolation run() raises with the package's solves routed
+    through `solve`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conjugate, "goursat_solve", solve)
+        mp.setattr(orthogonal, "goursat_solve", solve)
+        with pytest.raises(DomainViolation) as err:
+            run()
+    return err.value.site, err.value.direction, type(err.value.cause)
+
+
+class TestFusedLevels:
+    """Per-row gating inside the one step call of a level."""
+
+    def test_one_step_call_per_level_with_work(self, rng):
+        mesh = MeshSpec(eps=(0.025,) * 3, npts=(17,) * 3)
+        w_axis = {i: np.eye(3)[i] + 0.01 * rng.normal(size=(17, 3)) for i in range(3)}
+        c_data = {(i, j): rng.uniform(-0.1, 0.1, (17, 17)) for i, j in itertools.permutations(range(3), 2)}
+        system, calls = ConjugateSystem(3, 3), []
+        inner = system.step
+
+        def step(j, vals, eps, outputs=None):
+            calls.append(len(j))
+            return inner(j, vals, eps, outputs=outputs)
+
+        system.step = step
+        data = {"x": rng.normal(size=3), **{f"w{i + 1}": w_axis[i] for i in range(3)},
+                **{f"c{i + 1}_{j + 1}": c for (i, j), c in c_data.items()}}
+        goursat_solve(system, mesh, data)
+        # levels 1 to 48 of the 17^3 box; level 0 holds the Goursat data only
+        assert len(calls) == 48
+        assert sum(calls) == 3 * 16 ** 3 + 3 * 2 * 16 ** 2 + 3 * 16
+
+    def test_ribaucour_psi_request(self, differential):
+        # the fused levels of a transform solve mix rows that own psi alone with rows that own h1, b1
+        alg, curve, seed, eps, r = algebra(2), warped_circle_curve(1.0, 0.3), np.array([0.55, 0.0]), np.pi / 40, 0.5
+        alpha = lambda t: -1.0 + 0.3 * np.sin(t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = ribaucour_solve(alg, curve, alpha, seed, eps, r)
+        assert differential == [("psi",)]
+        # the last base site leaves N_1^2 > 0: the row stepping it in 0 owns psi alone, the one
+        # stepping it in 1 owns h1 and b1
+        psi0 = res.result.fields["psi"].values[0, 0]
+        axis = orthogonal.read_off_curve(alg, curve, psi0, 1, np.arange(res.result.mesh.npts[0]) * eps,
+                                         substep=eps / 4.0)
+        axis.beta[-2, 1] = 3.0 / eps
+        run = lambda: ribaucour_solve(alg, curve, alpha, seed, eps, r, psi0=psi0, axis=axis)
+        ref = _first_violation(lambda s, m, d, request=None: goursat_reference.goursat_solve(s, m, d, request), run)
+        assert _first_violation(goursat_solve, run) == ref
+        assert ref[2] is SqrtDomain
+
+    def test_singular_block_that_no_row_needs(self, rng):
+        # on this box and request, the call of level 2 solves the blocks of (1, 2, 3): its rows step in
+        # 3 and own c_12 (0-based), but no row owns c_12 as a step in 3
+        system, mesh = ConjugateSystem(4, 3), MeshSpec(eps=(1.0,) * 4, npts=(3, 2, 2, 2))
+        outputs, dirs, *_ = _fill_plan(_signature(system), mesh.npts, ("x",))[1]
+        assert (1, 2, 3) in conjugate._step_plan(4, tuple(sorted(set(dirs.tolist()))), outputs)[1]
+        data = {"x": rng.normal(size=3), **{f"w{i + 1}": np.eye(4)[i, :3] + 0.05 * rng.normal(size=(mesh.npts[i], 3))
+                                            for i in range(4)}}
+        data.update({cname(i + 1, j + 1): rng.uniform(-0.2, 0.2, (mesh.npts[min(i, j)], mesh.npts[max(i, j)]))
+                     for i, j in itertools.permutations(range(4), 2)})
+        # make the (1, 2, 3) block singular at the level-1 site e_1 through the data c_12 there
+        c = goursat_solve(system, mesh, data)
+        corner = np.zeros((4, 4))
+        for i, j in itertools.permutations(range(4), 2):
+            corner[i, j] = c[cname(i + 1, j + 1)].values[0, 1, 0, 0]
+
+        def det(v):
+            corner[1, 2] = v
+            return np.linalg.det(_implicit_blocks(corner, mesh.eps, (1, 2, 3), ())[0][0])
+
+        grid = np.linspace(-2.0, 2.0, 9)
+        roots = np.roots(np.polyfit(grid, [det(v) for v in grid], 8))
+        corner[1, 2] = min(roots[np.isreal(roots)].real, key=abs)
+        with pytest.raises(DegenerateHexahedron):
+            dcn_step_c(corner, mesh.eps, (1, 2, 3))
+        data["c2_3"] = data["c2_3"].copy()
+        data["c2_3"][1, 0] = corner[1, 2]
+        out = solve_both(system, mesh, data, ("x",))
+        assert not np.isnan(out["x"].values).any()
+
+
 class TestLevels:
     @pytest.mark.parametrize("npts,tail", [
         ((1,), 0), ((5,), 0), ((1, 4), 0), ((4, 1, 3), 0), ((3, 3, 2), 1), ((2, 1, 4, 2), 1),
@@ -276,9 +408,8 @@ class TestPlanCache:
     def test_plan_arrays_are_read_only(self):
         system = ConjugateSystem(3, 3)
         plan = _fill_plan(_signature(system), (3, 4, 2), ("x",))
-        steps = [step for level in plan for step in level]
-        assert steps
-        for _, _, *arrays, _ in steps:
+        assert plan
+        for _, *arrays in plan:
             for arr in arrays:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):

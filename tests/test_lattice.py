@@ -193,8 +193,7 @@ class SiteGate(HyperbolicSystem):
         u = np.asarray(vals["u"], dtype=float)
         hit = np.zeros(u.shape[:-1], dtype=bool)
         for site, d in self.bad:
-            if d == j:
-                hit |= np.all(u == site, axis=-1)
+            hit |= (np.asarray(j) == d) & np.all(u == site, axis=-1)
         raise_first([(hit, lambda row: SqrtDomain("left the domain"))])
         return {"u": u + np.eye(2)[j]}
 

@@ -3,6 +3,7 @@ consistency check: differential tests against the single-direction rules they
 replaced (step_reference.py) and the per-row step contract of both systems."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -11,37 +12,28 @@ from dlame import conjugate, orthogonal
 from dlame.clifford import algebra
 from dlame.conjugate import ConjugateSystem, CornerState, check_4d_consistency, cname, solve_conjugate_net
 from dlame.curves import warped_circle_curve
-from dlame.errors import DegenerateHexahedron, SqrtDomain
-from dlame.lattice import MeshSpec, consistency_residual, goursat_solve
+from dlame.errors import DegenerateHexahedron, OutsideDomain, SqrtDomain
+from dlame.lattice import MeshSpec, consistency_residual
 from dlame.oracles import EllipticOracle, SphericalOracle, csurface_data_from_oracle
 from dlame.orthogonal import FrameSurfaceSystem, csurface_solve, ribaucour_pair_3d, ribaucour_solve
 
 import step_reference as ref
 from conftest import random_surface_state
+from test_goursat_plan import planned_rows, reference_rows
 
 ALG3 = algebra(3)
 REFERENCE_SYSTEMS = [(conjugate, "ConjugateSystem", ref.ReferenceConjugateSystem),
                      (orthogonal, "FrameSurfaceSystem", ref.ReferenceFrameSurfaceSystem)]
 
 
-def _solves(run, patches):
-    """Every Goursat solve that run() makes, as (step calls, fields), with the
-    package's systems replaced per `patches`."""
+def _solves(run, patches, solve):
+    """Every Goursat solve that run() makes, as (system class, step-call rows,
+    fields), through `solve` and with the package's systems replaced per `patches`."""
     solves = []
 
     def recording(system, mesh, data, request=None):
-        calls, inner = [], system.step
-
-        def step(j, vals, eps, outputs=None):
-            calls.append((j, outputs, np.shape(vals["x" if "x" in vals else "psi"])))
-            return inner(j, vals, eps, outputs=outputs)
-
-        system.step = step
-        try:
-            fields = goursat_solve(system, mesh, data, request=request)
-        finally:
-            del system.step
-        solves.append((type(system).__name__, calls, {name: f.values for name, f in fields.items()}))
+        fields, rows = solve(system, mesh, data, request)
+        solves.append((type(system).__name__, rows, {name: f.values for name, f in fields.items()}))
         return fields
 
     with pytest.MonkeyPatch.context() as mp:
@@ -54,13 +46,16 @@ def _solves(run, patches):
 
 
 def assert_same_solves(run):
-    """run() gives the same step calls and bitwise-equal fields, nan patterns
-    included, with the current systems and with the reference ones."""
-    new, old = _solves(run, []), _solves(run, REFERENCE_SYSTEMS)
+    """run() with the current systems and the planned driver gives bitwise-equal
+    fields, nan patterns included, to run() with the reference systems and the
+    reference driver, and its fused step calls split into the reference calls'
+    rows in fill order."""
+    new = _solves(run, [], planned_rows)
+    old = _solves(run, REFERENCE_SYSTEMS, reference_rows)
     assert len(new) == len(old) > 0
-    for (new_cls, new_calls, new_fields), (old_cls, old_calls, old_fields) in zip(new, old):
+    for (new_cls, new_rows, new_fields), (old_cls, old_rows, old_fields) in zip(new, old):
         assert old_cls == "Reference" + new_cls
-        assert new_calls == old_calls
+        assert new_rows == old_rows
         assert list(new_fields) == list(old_fields)
         for name, values in old_fields.items():
             assert new_fields[name].shape == values.shape
@@ -207,6 +202,21 @@ def assert_rows_match(system, a, vals, eps, outputs=None, shared=False):
     return batch
 
 
+def _mask(owns):
+    """Per-row owned outputs as the step contract's mapping of names to row masks."""
+    return {name: np.array([name in own for own in owns]) for name in sorted(set().union(*owns))}
+
+
+def assert_own_rows_match(system, a, vals, eps, owns):
+    """A call with per-row directions a and per-row outputs owns[r] equals, in every
+    output a row owns, the single-direction call on that row with those outputs, bitwise."""
+    batch = system.step(a, vals, eps, _mask(owns))
+    for r, (j, own) in enumerate(zip(a.tolist(), owns)):
+        single = system.step(j, _rows(vals, r), eps, tuple(sorted(own)))
+        for name in own:
+            assert batch[name][r].tobytes() == np.asarray(single[name], dtype=float).tobytes(), (name, r)
+
+
 def _stack(states):
     return {k: np.stack([np.asarray(s[k], dtype=float) for s in states]) for k in states[0]}
 
@@ -242,6 +252,46 @@ class TestPerRowDirections:
         batch = system.step(np.zeros(5, dtype=int), _stack(states), eps, outputs)
         assert "h1" not in batch and "b1" not in batch
 
+    @pytest.mark.parametrize("M,tail_dirs", [(3, ()), (4, ()), (4, (3,))])
+    def test_conjugate_rows_with_own_outputs(self, rng, M, tail_dirs):
+        system = ConjugateSystem(M, 3, tail_dirs=tail_dirs)
+        eps = (0.1, 0.2, 0.15, 1.0 if tail_dirs else 0.3)[:M]
+        a = np.array([0, 2, 1, M - 1, 0, 2, 1, 1])
+        evolving = [[c.name for c in system.components if j not in c.static] for j in a]
+        owns = [set(rng.choice(names, size=rng.integers(1, 4), replace=False)) for names in evolving]
+        assert_own_rows_match(system, a, _stack(_conjugate_states(rng, M, len(a))), eps, owns)
+
+    @pytest.mark.parametrize("splitting,eps", [("gamma", (0.1, 0.1)), ("alpha", (0.1, 1.0))])
+    def test_frame_rows_with_own_outputs(self, rng, splitting, eps):
+        system = FrameSurfaceSystem(ALG3, (1, 2), splitting)
+        a = np.array([0, 1, 0, 1, 1, 0])
+        owns = [{"psi"}, {"h1", "b1"}, {"psi", "h2", "b2"}, {"psi", "h1", "b1"}, {"psi"}, {"b2"}]
+        states = [random_surface_state(ALG3, rng) for _ in a]
+        assert_own_rows_match(system, a, _stack(states), eps, owns)
+
+    def test_psi_only_rows_read_no_splitting(self, rng):
+        # as in a fused level of a transform solve: row 0 owns psi alone, rows 1 and 2 own h and b
+        system, eps = FrameSurfaceSystem(ALG3, (1, 2), "alpha"), (0.1, 1.0)
+        a, owns = np.array([0, 1, 0]), [{"psi"}, {"h1", "b1"}, {"psi", "h2", "b2"}]
+        states = [random_surface_state(ALG3, rng) for _ in a]
+        # b2 outside the admissible set, read by the splitting alone
+        states[0]["b2"] = np.array([3.0, 0.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert_own_rows_match(system, a, _stack(states), eps, owns)
+        states[1]["b2"] = states[0]["b2"]
+        with pytest.raises(OutsideDomain) as err:
+            system.step(a, _stack(states), eps, _mask(owns))
+        assert err.value.row == 1
+        # N_1^2 <= 0 in row 0 is named before row 1's splitting
+        states[0]["b1"] = np.array([0.0, 30.0, 30.0])
+        with pytest.raises(SqrtDomain) as single:
+            system.step(0, states[0], eps, ("psi",))
+        with pytest.raises(SqrtDomain) as err:
+            system.step(a, _stack(states), eps, _mask(owns))
+        assert err.value.row == 0
+        assert str(err.value) == str(single.value)
+
     def test_singular_block_in_a_later_row(self, rng):
         # unit mesh, every c_ij = 1: every block of the corner is singular
         for M, a, bad in ((3, [0, 2, 1, 0], 2), (4, [0, 1, 3, 2], 2)):
@@ -261,6 +311,26 @@ class TestPerRowDirections:
                 system.step(np.array(a), _stack(states), (1.0,) * M)
             assert batch.value.row == bad
             assert str(batch.value) == str(single.value)
+
+    def test_shift_state_gates_each_entry_on_its_blocks(self, rng):
+        # unit mesh, every c_pq = 1 on the triple (1, 2, 3): its block is singular, and lead 0 does not read it
+        w, c = rng.normal(size=(4, 3)), rng.uniform(-0.2, 0.2, (4, 4))
+        np.fill_diagonal(c, 0.0)
+        for p, q in itertools.permutations((1, 2, 3), 2):
+            c[p, q] = 1.0
+        corner, eps = CornerState(rng.normal(size=3), w, c), (1.0,) * 4
+        with pytest.raises(DegenerateHexahedron) as err:
+            check_4d_consistency(corner, eps)
+        assert err.value.row == 1
+        # stacked with a regular corner stepped in 1, the singular one stepped in 0 reads no singular block
+        regular = CornerState(rng.normal(size=3), rng.normal(size=(4, 3)), rng.uniform(-0.2, 0.2, (4, 4)))
+        np.fill_diagonal(regular.c, 0.0)
+        both = CornerState(*(np.stack([getattr(s, f) for s in (corner, regular)]) for f in ("x", "w", "c")))
+        out = conjugate.shift_state(both, np.array([0, 1]), eps)
+        for k, (state, j) in enumerate(((corner, 0), (regular, 1))):
+            alone = conjugate.shift_state(state, j, eps)
+            for f in ("x", "w", "c"):
+                assert getattr(out, f)[k].tobytes() == getattr(alone, f).tobytes(), (k, f)
 
     def test_frame_gate_in_a_later_row(self, rng):
         # only row 2, stepping in direction 1, has a coarse b2; psi alone reads N_2 there
