@@ -27,10 +27,6 @@ from test_lattice import LinearSystem, ScalarSiteGate, SiteGate
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _request_key(request):
-    return None if request is None else tuple(sorted(set(request)))
-
-
 def reference_rows(system, mesh, data, request=None):
     """The reference driver's fields, and its step calls split into rows
     (flat source site, direction, outputs) in fill order: by the destination's
@@ -75,7 +71,7 @@ def planned_rows(system, mesh, data, request=None):
         fields = goursat_solve(system, mesh, data, request=request)
     finally:
         del system.step
-    plan = _fill_plan(_signature(system), tuple(mesh.npts), _request_key(request))
+    plan = _fill_plan(_signature(system), tuple(mesh.npts), None if request is None else tuple(sorted(set(request))))
     if system.batched:
         assert len(calls) == len(plan)
         for call, (outputs, dirs, *_) in zip(calls, plan):
