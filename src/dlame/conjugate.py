@@ -195,8 +195,8 @@ class CornerState:
 
 
 def _at(v: np.ndarray, k: int, a: np.ndarray) -> np.ndarray:
-    """v[..., a, ...] over v's batch axes (all but its last k); an int array a picks per entry."""
-    if a.ndim == 0 or v.ndim == k:
+    """v[..., a, ...] over v's batch axes (all but its last k), the int array a picking per entry."""
+    if v.ndim == k:
         return v[(..., a) + (slice(None),) * (k - 1)]
     lead = v.shape[:v.ndim - k]
     return v.reshape((-1,) + v.shape[v.ndim - k:])[np.arange(math.prod(lead)).reshape(lead), a]
@@ -212,10 +212,7 @@ def _shift_edges(state: CornerState, a: np.ndarray, eps, edges: bool = True):
         return x, None, ea
     w = state.w + ea[..., None] * (_at(state.c.swapaxes(-1, -2), 2, a)[..., None] * wa[..., None, :]
                                    + _at(state.c, 2, a)[..., None] * state.w)
-    if a.ndim:
-        return x, np.where(np.eye(state.M, dtype=bool)[a][..., None], np.nan, w), ea
-    w[..., a, :] = np.nan
-    return x, w, ea
+    return x, np.where(np.eye(state.M, dtype=bool)[a][..., None], np.nan, w), ea
 
 
 def _advance(state: CornerState, a: np.ndarray, eps, triples: tuple, tail_dirs, need=None,
@@ -233,12 +230,6 @@ def _advance(state: CornerState, a: np.ndarray, eps, triples: tuple, tail_dirs, 
     delta = {}
     if triples:
         delta = dcn_step_c(state.c, eps, triples, tail_dirs, need=need)
-    if a.ndim == 0:  # one direction: the entries its solved blocks cover
-        c = state.c + ea[..., None] * np.nan
-        for (i, p, q), value in delta.items():
-            if i == a:
-                c[..., p, q] = state.c[..., p, q] + ea[..., 0] * value
-        return CornerState(x, w, c)
     # delta_a c_pq of every entry from the solved blocks, a nan row where none covers it
     values = list(delta.values())
     shape = np.shape(values[0]) if values else ()
@@ -272,8 +263,6 @@ def _step_plan(M: int, dirs: tuple, outputs):
 
 class ConjugateSystem(HyperbolicSystem):
     """Hyperbolic system of an M-dimensional discrete conjugate net in R^N."""
-
-    batched = True
 
     def __init__(self, M: int, N: int, tail_dirs: tuple[int, ...] = ()):
         self.N = N

@@ -183,27 +183,24 @@ class HyperbolicSystem:
     only read components l with E(k) \\ {j} contained in E(l), otherwise the
     consistency condition is not even well defined.
 
-    Step contract.  A class that sets `batched = True` promises a step rule
-    with leading batch axes: every value in `vals` carries the same leading
-    shape in front of its component shape, and every output carries it too,
-    row by row equal to a call on that row alone.  `direction` may be an int
-    array broadcasting against the batch axes, one direction per row: then a
-    component is returned if it evolves in some row's direction, holding nan
-    in the rows whose direction it does not evolve in.  `outputs` may also map
-    each name to a boolean mask over the batch axes, the rows that own it: a
-    row is then gated only on what its own outputs read, and holds unspecified
-    values in the outputs it does not own.  A domain gate that fails raises
-    with `row` set to the flat index of the first failing entry (see
-    `errors.raise_first`).  The Goursat driver makes one step call per level,
-    with a direction and a mask row per (destination site, direction) pair.
-    A scalar rule (`batched = False`, the default) receives one such row per
-    call, with its own direction and the tuple of its own outputs, so
-    user-defined per-site rules keep working unchanged.
+    Step contract.  `direction` is an int array that broadcasts against the
+    batch axes, one direction per row (a plain int is its 0-d case, the same
+    direction for every row), and every value in `vals` carries the batch
+    axes in front of its component shape, or none (one shared corner).  Every
+    output carries the broadcast batch shape, row by row equal to a call on
+    that row alone.  A component is returned if it evolves in some row's
+    direction, holding nan in the rows whose direction it does not evolve in.
+    `outputs` may map each name to a boolean mask over the batch axes, the
+    rows that own it: a row is then gated only on what its own outputs read,
+    and holds unspecified values in the outputs it does not own.  A domain
+    gate that fails raises with `row` set to the flat index of the first
+    failing entry (see `errors.raise_first`).  The Goursat driver makes one
+    step call per level, with a direction and a mask row per (destination
+    site, direction) pair.
     """
 
     M: int
     components: tuple[Component, ...]
-    batched: bool = False
 
     def __init__(self, M: int, components: Sequence[Component]):
         self.M = M
@@ -230,8 +227,7 @@ class HyperbolicSystem:
     def component(self, name: str) -> Component:
         return self._by_name[name]
 
-    def step(self, direction: int, vals: Mapping[str, np.ndarray], eps: Sequence[float],
-             outputs: tuple[str, ...] | None = None):
+    def step(self, direction, vals: Mapping[str, np.ndarray], eps: Sequence[float], outputs=None):
         """Shifted values tau_j u_k; outputs restricts which components to produce."""
         raise NotImplementedError
 
@@ -320,11 +316,10 @@ def goursat_solve(
     the lowest evolution direction with a positive coordinate, so the output
     does not depend on the site enumeration order.  Every value on level
     sum(idx) = k is read from level k - 1 only, so a level is filled by one
-    step call when the system is `batched`: one row per (destination site,
-    direction) pair that produces a value, with per-row directions, the union
-    of the level's output names as `outputs`, each mapped to the mask of the
-    rows that own it, and each output scattered from its own rows only.  A
-    scalar system gets one call per row, with the row's direction and outputs.
+    step call: one row per (destination site, direction) pair that produces a
+    value, with per-row directions, the union of the level's output names as
+    `outputs`, each mapped to the mask of the rows that own it, and each
+    output scattered from its own rows only.
 
     A step rule that raises is reported as DomainViolation carrying the
     source site (plain-float coordinates), the step direction and the cause
@@ -366,38 +361,20 @@ def goursat_solve(
 
     flat = {comp.name: full[comp.name].reshape((-1,) + comp.shape) for comp in comps}
     for outputs, dirs, src, dst, mask in plan:
-        if system.batched:
-            calls = [(dirs, src, dst, dict(zip(outputs, mask.T)))]
-        else:
-            calls = [(j, s, d, tuple(itertools.compress(outputs, own)))
-                     for j, s, d, own in zip(dirs.tolist(), src.tolist(), dst.tolist(), mask.tolist())]
-        # rows are in fill order, so the first failing row is the solve's first failure
-        for k, (j, s, d, own) in enumerate(calls):
-            try:
-                out = system.step(j, {name: vals[s] for name, vals in flat.items()}, mesh.eps, outputs=own)
-            except DomainViolation:
-                raise
-            except Exception as exc:
-                # a batched call that fails outside a gate is charged to its first row
-                row = (getattr(exc, "row", None) or 0) if system.batched else k
-                site = [int(i) for i in np.unravel_index(src[row], mesh.shape)]
-                raise DomainViolation(mesh.coords(site), int(dirs[row]), exc) from exc
-            for name in own:
-                if system.batched:
-                    flat[name][d[own[name]]] = out[name][own[name]]
-                else:
-                    flat[name][d] = out[name]
+        own = dict(zip(outputs, mask.T))
+        try:
+            out = system.step(dirs, {name: vals[src] for name, vals in flat.items()}, mesh.eps, outputs=own)
+        except DomainViolation:
+            raise
+        except Exception as exc:
+            # rows are in fill order, so a gate's first failing row is the solve's first failure;
+            # a call that fails outside a gate is charged to its first row
+            row = getattr(exc, "row", None) or 0
+            site = [int(i) for i in np.unravel_index(src[row], mesh.shape)]
+            raise DomainViolation(mesh.coords(site), int(dirs[row]), exc) from exc
+        for name, rows in own.items():
+            flat[name][dst[rows]] = out[name][rows]
     return {name: LatticeField(mesh, arr) for name, arr in full.items()}
-
-
-def _step_rows(system: HyperbolicSystem, directions: list[int], vals, eps, shared: bool, outputs=None):
-    """Step row r of vals (one shared corner, or rows on the leading axis) in directions[r]: one
-    batched call, or one call per row, the values it does not return kept from the row."""
-    if system.batched:
-        return system.step(np.array(directions), vals, eps, outputs)
-    rows = [vals if shared else {k: v[r] for k, v in vals.items()} for r in range(len(directions))]
-    outs = [{**row, **system.step(j, row, eps, outputs)} for row, j in zip(rows, directions)]
-    return {name: np.array([out[name] for out in outs], dtype=float) for name in outs[0]}
 
 
 @functools.lru_cache(maxsize=32)
@@ -421,19 +398,18 @@ def consistency_residual(system: HyperbolicSystem, vals: Mapping[str, np.ndarray
     For every component with two evolution directions i != j, builds the far corner value
     through both orders and returns the largest mismatch of the second difference quotients,
     i.e. the residual of the discrete consistency condition delta_j(f_{k,i}) = delta_i(f_{k,j});
-    a nan mismatch gives nan.  A batched system takes two step calls: the corner in every
-    direction, then each once-shifted corner (keeping the values that do not evolve in its
-    direction) in every other direction, asking only for the compared components.  A scalar
-    system gets the same rows one per call.
+    a nan mismatch gives nan.  It takes two step calls: the corner in every direction, then
+    each once-shifted corner (keeping the values that do not evolve in its direction) in every
+    other direction, asking only for the compared components.
     """
     vals = {k: np.asarray(v, dtype=float) for k, v in vals.items()}
     first, second, starts, compared, names = _cross_plan(system.M, tuple((c.name, c.static) for c in system.components))
     if not second:
         return 0.0
-    once = _step_rows(system, first, vals, eps, shared=True)
+    once = system.step(np.array(first), vals, eps)
     start = {name: np.concatenate([once[name], v[None]])[starts[name]] if name in once and name in starts
              else np.broadcast_to(v, (len(second),) + v.shape) for name, v in vals.items()}
-    far = _step_rows(system, second, start, eps, shared=False, outputs=names)
+    far = system.step(np.array(second), start, eps, names)
     e = np.asarray(eps, dtype=float)
     return float(np.max(np.concatenate([[0.0], *(
         np.abs(far[name][ij] - far[name][ji]).reshape(len(ij), -1).max(axis=1) / (e[i] * e[j])

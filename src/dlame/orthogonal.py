@@ -118,12 +118,8 @@ def normal_factor(eps, beta: np.ndarray, skip) -> np.ndarray:
 
 
 def _put(u: np.ndarray, slot, value) -> np.ndarray:
-    """u with u[..., slot] = value; slot an int or an int array over u's batch axes."""
-    if np.ndim(slot):
-        return np.where(_slots(u.shape[-1])[0][slot], np.asarray(value)[..., None], u)
-    u = u.copy()
-    u[..., slot] = value
-    return u
+    """u with u[..., slot] = value; slot an int array that broadcasts against u's batch axes."""
+    return np.where(_slots(u.shape[-1])[0][slot], np.asarray(value)[..., None], u)
 
 
 def sigma_vector(alg: Algebra, d, eps, h, beta: np.ndarray, n_fac) -> np.ndarray:
@@ -157,8 +153,6 @@ class FrameSurfaceSystem(HyperbolicSystem):
     holds the gamma (surface) or alpha (transform) splitting field, static in
     both directions.
     """
-
-    batched = True
 
     def __init__(self, alg: Algebra, dirs=(1, 2), splitting: str = "gamma"):
         if splitting not in ("gamma", "alpha"):
@@ -216,19 +210,18 @@ class FrameSurfaceSystem(HyperbolicSystem):
         return rho12, rho21, np.sqrt(nsq), n1, n2
 
     def step(self, direction, vals, eps, outputs=None):
-        """Step each entry in its direction (an int or an int array over the batch
+        """Step each entry in its direction (an int array that broadcasts against the batch
         axes); h_i and b_i hold nan in the entries stepping in direction i.  An entry
         is gated on the splitting if it owns h or b, else on N_a^2 > 0."""
         want = {"psi", "h1", "h2", "b1", "b2"} if outputs is None else set(outputs)
         # a = the step direction, b = the other one; first: the entries with a = 0
-        rows = np.ndim(direction) > 0
-        a, e = (np.asarray(direction), np.asarray(eps, dtype=float)) if rows else (int(direction), eps)
+        a, e = np.asarray(direction), np.asarray(eps, dtype=float)
         ea, eb = e[a], e[1 - a]
         h1, h2, b1, b2 = (np.asarray(vals[name], dtype=float) for name in ("h1", "h2", "b1", "b2"))
         (d1, d2), first = self.dirs, a == 0
 
         def pick(v1, v2, k=0):
-            return np.where(first[(...,) + (None,) * k], v1, v2) if rows else v1 if first else v2
+            return np.where(first[(...,) + (None,) * k], v1, v2)
 
         h_a, beta_a, slot = pick(h1, h2), pick(b1, b2, 1), pick(d1 - 1, d2 - 1)
         out = {}
@@ -253,13 +246,13 @@ class FrameSurfaceSystem(HyperbolicSystem):
             new_h = hb + ea * (r_ab * h_a + r_n * hb)
             new_b = _put(bb, slot, bd + ea * (2.0 * n_a * rho_ab / (e[0] * e[1] * n) - (1.0 + n) / (ea * n) * bd))
             rest = self._rest
-            new_b[..., rest] = bb[..., rest] + (ea[..., None] if rows else ea) * (
+            new_b[..., rest] = bb[..., rest] + ea[..., None] * (
                 r_n[..., None] * bb[..., rest] + r_ab[..., None] * beta_a[..., rest])
             # h_b and b_b evolve in direction a only
             for k, mine in enumerate((a != 0, first)):
-                if mine.any() if rows else mine:
-                    out[f"h{k + 1}"] = np.where(mine, new_h, np.nan) if rows else new_h
-                    out[f"b{k + 1}"] = np.where(mine[..., None], new_b, np.nan) if rows else new_b
+                if mine.any():
+                    out[f"h{k + 1}"] = np.where(mine, new_h, np.nan)
+                    out[f"b{k + 1}"] = np.where(mine[..., None], new_b, np.nan)
         return out
 
 
@@ -697,7 +690,10 @@ def ribaucour_solve(
     t1 = dx0 / np.linalg.norm(dx0)
     if psi0 is None:
         u2 = np.asarray(xplus0, dtype=float) - x0
-        u2 = u2 / np.linalg.norm(u2)
+        norm = np.linalg.norm(u2)
+        if norm == 0:
+            raise OutsideDomain("transform seed coincides with the curve start")
+        u2 = u2 / norm
         w = u2 - (u2 @ t1) * t1
         nw = np.linalg.norm(w)
         if nw < 1e-10:

@@ -7,6 +7,11 @@ The differential tests in test_goursat_plan.py hold the planned driver to
 bitwise-equal fields, nan patterns and `DomainViolation` reports against it,
 and its one call per level to rows (source site, direction, outputs) equal
 to this driver's calls split into rows, in fill order.
+
+`per_row` turns a system class into one whose step makes one call per row,
+each with a plain int direction and the tuple of the row's own outputs, as
+the per-site drivers did; the differential tests hold the batched step calls
+of both drivers to it.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from dlame.errors import DomainViolation
-from dlame.lattice import HyperbolicSystem, LatticeField, MeshSpec
+from dlame.lattice import HyperbolicSystem, LatticeField, MeshSpec, _fill_plan, _signature
 
 
 def _producer_dirs(sites: np.ndarray, evolution: tuple[int, ...]) -> np.ndarray:
@@ -43,7 +48,7 @@ def goursat_solve(
     does not depend on the site enumeration order.  Every value on level
     sum(idx) = k is read from level k - 1 only, so a level is filled by one
     step call per (direction, set of output components), batched over its
-    source sites when the system is `batched`, one site per call otherwise.
+    source sites.
 
     A step rule that raises is reported as DomainViolation carrying the
     source site (plain-float coordinates), the step direction and the cause
@@ -138,16 +143,61 @@ def _fill(system, j, outputs, src, dst, full, eps):
     """Step the source sites `src` in direction j and write `outputs` at `dst`.
 
     Returns None, or (row, exception) for the first failing row."""
-    if system.batched:
-        calls = [(tuple(src.T), tuple(dst.T))]
-    else:
-        calls = [(tuple(s), tuple(d)) for s, d in zip(src.tolist(), dst.tolist())]
-    for k, (src_idx, dst_idx) in enumerate(calls):
-        try:
-            out = system.step(j, {name: vals[src_idx] for name, vals in full.items()}, eps, outputs=outputs)
-        except Exception as exc:
-            # a batched call that fails outside a gate is charged to its first row
-            return (getattr(exc, "row", None) or 0) if system.batched else k, exc
-        for name in outputs:
-            full[name][dst_idx] = out[name]
+    src_idx, dst_idx = tuple(src.T), tuple(dst.T)
+    try:
+        out = system.step(j, {name: vals[src_idx] for name, vals in full.items()}, eps, outputs=outputs)
+    except Exception as exc:
+        # a call that fails outside a gate is charged to its first row
+        return getattr(exc, "row", None) or 0, exc
+    for name in outputs:
+        full[name][dst_idx] = out[name]
     return None
+
+
+def per_row(cls):
+    """Subclass of the system class `cls` whose step splits a call with rows on
+    the leading axis of every value into one call per row: the row's direction
+    as a plain int, its values, and the tuple of the outputs it owns (all of
+    `outputs` unless they map names to masks).  The results are stacked, nan
+    in the rows that do not return a component; a failing call raises with
+    `row` set to its row.  `calls` counts the one-row calls."""
+
+    class PerRow(cls):
+        calls = 0
+
+        def step(self, direction, vals, eps, outputs=None):
+            n = len(next(iter(vals.values())))
+            outs = []
+            for r, j in enumerate(np.broadcast_to(direction, (n,)).tolist()):
+                own = tuple(name for name in outputs if outputs[name][r]) if isinstance(outputs, Mapping) \
+                    else outputs
+                try:
+                    outs.append(super().step(j, {name: v[r] for name, v in vals.items()}, eps, outputs=own))
+                except Exception as exc:
+                    exc.row = r
+                    raise
+                self.calls += 1
+            names = [c.name for c in self.components if any(c.name in out for out in outs)]
+            return {name: np.stack([np.asarray(out[name], dtype=float) if name in out
+                                    else np.full(self.component(name).shape, np.nan) for out in outs])
+                    for name in names}
+
+    return PerRow
+
+
+def plan_rows(system, mesh, request=None) -> int:
+    """Rows of the fill plan of a solve: one per (destination site, direction) pair it steps."""
+    key = None if request is None else tuple(sorted(set(request)))
+    return sum(len(dirs) for _, dirs, *_ in _fill_plan(_signature(system), tuple(mesh.npts), key))
+
+
+def record_systems(monkeypatch, module, name: str, cls) -> list:
+    """Make `module.name` build `cls`; returns the list of the systems it builds."""
+    systems = []
+
+    def build(*args, **kwargs):
+        systems.append(cls(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(module, name, build)
+    return systems

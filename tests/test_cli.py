@@ -58,6 +58,17 @@ class TestExitCodes:
                    "--seed", "0.5,0.0", "--eps", "0.1", "--r", "0.5"])
         assert rc == 1
 
+    def test_seed_at_curve_start_exits_1_with_the_solver_error_alone(self):
+        # warnings are errors: a warning before the typed error would end in a traceback
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "dlame.cli", "ribaucour", "--curve", "warped:1.0",
+             "--alpha", "sinmod:-1.0,0.3", "--seed", "1.0,0", "--eps", "pi/80", "--r", "1.2"],
+            capture_output=True, text=True, cwd=src, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "solver error: transform seed coincides with the curve start\n"
+
     @pytest.mark.parametrize("exts", [("csv", "json", "svg"), ("json", "svg"), ("csv", "svg")])
     def test_rejected_svg_leaves_no_file(self, tmp_path, exts):
         # a 1 x 1 net has no cell to draw: the SVG gate rejects it before any file is written

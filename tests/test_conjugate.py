@@ -25,6 +25,8 @@ from dlame.lattice import MeshSpec, consistency_residual
 from dlame.oracles import EllipticOracle, csurface_data_from_oracle
 from dlame.orthogonal import csurface_solve
 
+from goursat_reference import per_row, plan_rows, record_systems
+
 
 def random_corner(rng, M=3, N=3, cmax=0.2):
     w = rng.normal(size=(M, N))
@@ -490,10 +492,8 @@ class TestGoursatNets:
         assert np.max(np.abs(dij - rhs)) < 1e-10 * max(1.0, scale)
 
 
-class PerSiteConjugateSystem(ConjugateSystem):
-    """The conjugate system stepped one site per call by the Goursat driver."""
-
-    batched = False
+class PerSiteConjugateSystem(per_row(ConjugateSystem)):
+    """The conjugate system stepped one site per call, as the per-site Goursat driver stepped it."""
 
 
 def _random_net_data(rng, npts, tail_layers):
@@ -513,8 +513,9 @@ class TestBatchedConjugateSolve:
     def test_matches_per_site_solve(self, rng, monkeypatch, tail_layers, request_):
         mesh, x0, w, c = _random_net_data(rng, 5, tail_layers)
         batched = solve_conjugate_net(mesh, x0, w, c, N=3, request=request_)
-        monkeypatch.setattr(conjugate, "ConjugateSystem", PerSiteConjugateSystem)
+        systems = record_systems(monkeypatch, conjugate, "ConjugateSystem", PerSiteConjugateSystem)
         per_site = solve_conjugate_net(mesh, x0, w, c, N=3, request=request_)
+        assert [s.calls for s in systems] == [plan_rows(systems[0], mesh, request_)] and systems[0].calls > 0
         for name, field in batched.items():
             assert np.array_equal(field.values, per_site[name].values, equal_nan=True), name
         if request_ is not None:

@@ -52,18 +52,14 @@ def reference_rows(system, mesh, data, request=None):
 
 def planned_rows(system, mesh, data, request=None):
     """The planned driver's fields, and its step calls split into rows (flat
-    source site, direction, the outputs the row owns) in call order.  A batched
-    system gets one call per level with work, with per-row directions and a
-    per-row output mask; a scalar one gets one call per row."""
+    source site, direction, the outputs the row owns) in call order: one call
+    per level with work, with per-row directions and a per-row output mask."""
     calls, inner = [], system.step
 
     def step(j, vals, eps, outputs=None):
-        if system.batched:
-            assert np.shape(j) == np.shape(next(iter(vals.values())))[:1]
-            calls.append([(int(d), tuple(name for name in outputs if outputs[name][r]))
-                          for r, d in enumerate(np.asarray(j).tolist())])
-        else:
-            calls.append([(j, outputs)])
+        assert np.shape(j) == np.shape(next(iter(vals.values())))[:1]
+        calls.append([(int(d), tuple(name for name in outputs if outputs[name][r]))
+                      for r, d in enumerate(np.asarray(j).tolist())])
         return inner(j, vals, eps, outputs=outputs)
 
     system.step = step
@@ -72,11 +68,10 @@ def planned_rows(system, mesh, data, request=None):
     finally:
         del system.step
     plan = _fill_plan(_signature(system), tuple(mesh.npts), None if request is None else tuple(sorted(set(request))))
-    if system.batched:
-        assert len(calls) == len(plan)
-        for call, (outputs, dirs, *_) in zip(calls, plan):
-            assert [d for d, _ in call] == dirs.tolist()
-            assert sorted(set().union(*(own for _, own in call))) == list(outputs)
+    assert len(calls) == len(plan)
+    for call, (outputs, dirs, *_) in zip(calls, plan):
+        assert [d for d, _ in call] == dirs.tolist()
+        assert sorted(set().union(*(own for _, own in call))) == list(outputs)
     src = [s for _, _, level_src, *_ in plan for s in level_src.tolist()]
     rows = [row for call in calls for row in call]
     assert len(rows) == len(src)
@@ -142,8 +137,6 @@ class Wide(HyperbolicSystem):
     0; a rule reads its own component and, where the closure condition
     allows, its successor."""
 
-    batched = True
-
     def __init__(self, n=70):
         names = [f"u{k:02d}" for k in range(n)]
         static = [(0,) if k % 3 == 0 else () for k in range(n)]
@@ -166,7 +159,6 @@ class TestAgainstReferenceDriver:
              0.2 * np.eye(2)]
         for M, npts in ((2, (5, 4)), (3, (3, 1, 4))):
             system = LinearSystem(A[:M])
-            assert not system.batched
             mesh = MeshSpec(eps=(0.25,) * M, npts=npts)
             for request in (None, ("u",), ()):
                 solve_both(system, mesh, {"u": rng.normal(size=2)}, request)
@@ -233,8 +225,7 @@ class TestAgainstReferenceDriver:
         # at (1, 1), a and c are pulled in direction 0 and b in direction 1:
         # both groups fail, and the one holding the earlier component wins
         mesh = MeshSpec(eps=(0.5, 0.25), npts=(4, 3))
-        system = ThreeGate([((0, 1), 0), ((1, 0), 1)])
-        system.batched = batched
+        system = (ThreeGate if batched else goursat_reference.per_row(ThreeGate))([((0, 1), 0), ((1, 0), 1)])
         data = {"a": np.zeros(2), "b": np.stack([np.arange(4.0), np.zeros(4)], axis=-1), "c": np.zeros(2)}
         for solve in (goursat_reference.goursat_solve, goursat_solve):
             with pytest.raises(DomainViolation) as err:
@@ -365,8 +356,6 @@ class TestLevels:
 class TwoComponent(HyperbolicSystem):
     """u and v, both stepped by adding v + 1; the read sets and the static
     directions of u vary, the component names do not."""
-
-    batched = True
 
     def __init__(self, reads_u, static_u=()):
         super().__init__(2, [Component("u", (), static_u, reads_u),

@@ -20,6 +20,8 @@ from dlame.lattice import (
     goursat_solve,
 )
 
+from goursat_reference import per_row
+
 
 def coordinate_field(mesh, axis=0):
     grids = np.meshgrid(*(mesh.axis_coords(d) for d in range(mesh.M)), indexing="ij")
@@ -32,11 +34,11 @@ class LinearSystem(HyperbolicSystem):
     def __init__(self, mats):
         M = len(mats)
         super().__init__(M, [Component("u", (mats[0].shape[0],), (), {j: ("u",) for j in range(M)})])
-        self.mats = mats
+        self.mats = np.array(mats)
 
     def step(self, j, vals, eps, outputs=None):
         u = np.asarray(vals["u"], dtype=float)
-        return {"u": u + eps[j] * (self.mats[j] @ u)}
+        return {"u": u + np.asarray(eps)[j][..., None] * (self.mats[j] @ u[..., None])[..., 0]}
 
 
 class TestShiftDiff:
@@ -161,7 +163,8 @@ class TestGoursat:
                 super().__init__(1, [Component("u", (), (), {0: ("u",)})])
 
             def step(self, j, vals, eps, outputs=None):
-                if vals["u"] > 2.5:
+                # one site per level on a 1D box: the failing row is row 0
+                if np.any(vals["u"] > 2.5):
                     raise ValueError("left the domain")
                 return {"u": vals["u"] + 1.0}
 
@@ -183,8 +186,6 @@ class TestGoursat:
 class SiteGate(HyperbolicSystem):
     """u carries its own site index; stepping a listed (source, direction) fails."""
 
-    batched = True
-
     def __init__(self, bad):
         super().__init__(2, [Component("u", (2,), (), {0: ("u",), 1: ("u",)})])
         self.bad = bad
@@ -198,8 +199,8 @@ class SiteGate(HyperbolicSystem):
         return {"u": u + np.eye(2)[j]}
 
 
-class ScalarSiteGate(SiteGate):
-    batched = False
+class ScalarSiteGate(per_row(SiteGate)):
+    """SiteGate stepped one row per call, each with a plain int direction."""
 
 
 class TestDomainViolationSite:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from dlame.orthogonal import (
 )
 
 from conftest import random_surface_state
+from goursat_reference import per_row, plan_rows, record_systems
 
 ALG2 = algebra(2)
 ALG3 = algebra(3)
@@ -122,10 +124,8 @@ class TestFrameSystemIdentities:
             system.step(0, vals, (1.0, 1.0))
 
 
-class PerSiteFrameSystem(FrameSurfaceSystem):
-    """The frame system stepped one site per call by the Goursat driver."""
-
-    batched = False
+class PerSiteFrameSystem(per_row(FrameSurfaceSystem)):
+    """The frame system stepped one site per call, as the per-site Goursat driver stepped it."""
 
 
 def _same_fields(a, b):
@@ -137,17 +137,21 @@ class TestBatchedFrameSolve:
     def test_gamma_surface_matches_per_site_solve(self, monkeypatch):
         data = csurface_data_from_oracle(EllipticOracle(), np.pi / 20, 4 * np.pi / 10)
         batched = csurface_solve(data).fields
-        monkeypatch.setattr(orthogonal, "FrameSurfaceSystem", PerSiteFrameSystem)
-        _same_fields(batched, csurface_solve(data).fields)
+        systems = record_systems(monkeypatch, orthogonal, "FrameSurfaceSystem", PerSiteFrameSystem)
+        res = csurface_solve(data)
+        _same_fields(batched, res.fields)
+        assert [s.calls for s in systems] == [plan_rows(systems[0], res.mesh)] and systems[0].calls > 0
 
     def test_alpha_transform_matches_per_site_solve(self, monkeypatch):
         def solve():
             return ribaucour_solve(ALG3, warped_circle_curve(1.0, 0.3, dim=3), lambda t: -1.0 + 0.2 * t,
-                                   np.array([0.55, 0.0, 0.1]), np.pi / 40, 0.6).result.fields
+                                   np.array([0.55, 0.0, 0.1]), np.pi / 40, 0.6).result
 
-        batched = solve()
-        monkeypatch.setattr(orthogonal, "FrameSurfaceSystem", PerSiteFrameSystem)
-        _same_fields(batched, solve())
+        batched = solve().fields
+        systems = record_systems(monkeypatch, orthogonal, "FrameSurfaceSystem", PerSiteFrameSystem)
+        res = solve()
+        _same_fields(batched, res.fields)
+        assert [s.calls for s in systems] == [plan_rows(systems[0], res.mesh, ("psi",))] and systems[0].calls > 0
 
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from(["gamma", "alpha"]),
@@ -513,6 +517,14 @@ class TestRibaucour:
         with pytest.raises(OutsideDomain):
             ribaucour_solve(ALG2, curve, lambda t: 0.0, np.array([1.45, 0.2]), np.pi / 40, 0.5)
 
+    def test_seed_at_curve_start_rejected(self):
+        # the suited frame leans towards the seed, which gives no direction at the curve start
+        curve = warped_circle_curve(1.0, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutsideDomain, match="transform seed coincides with the curve start"):
+                ribaucour_solve(ALG2, curve, lambda t: -1.0, curve.x(0.0), np.pi / 80, 1.2)
+
     def test_tangential_seed_rejected(self):
         psi0 = suited_frame(ALG2, np.zeros(2), [np.array([1.0, 0]), np.array([0.0, 1])])
         axis = CurveData(np.arange(5) * 0.1, np.ones(5), np.zeros((5, 2)))
@@ -618,6 +630,19 @@ class TestRibaucourPair3D:
             for a, b in itertools.combinations(range(4), 2)
         )
         assert worst < 1e-10
+
+    def test_transform_layer_converges_at_first_order(self):
+        # Cauchy differences of the transform layer, on the sites of the coarsest grid, between successive halvings
+        eps_list = (0.1, 0.05, 0.025, 0.0125)
+        layers = []
+        for eps in eps_list:
+            spec, seed = self._spec_and_seed(eps=eps)
+            x = ribaucour_pair_3d(spec, {i: (lambda t: -1.0) for i in (1, 2, 3)}, seed).x[..., 1, :]
+            k = round(eps_list[0] / eps)
+            layers.append(x[::k, ::k, ::k])
+        gaps = [np.max(np.linalg.norm(a - b, axis=-1)) for a, b in zip(layers, layers[1:])]
+        slope = np.polyfit(np.log(eps_list[:-1]), np.log(gaps), 1)[0]
+        assert 0.8 <= slope <= 1.2
 
     def test_transform_axes_match_independent_pair_solves(self):
         # the bulk conjugate propagation and the per-axis frame solves are two

@@ -252,6 +252,24 @@ class TestPerRowDirections:
         batch = system.step(np.zeros(5, dtype=int), _stack(states), eps, outputs)
         assert "h1" not in batch and "b1" not in batch
 
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_int_direction_is_the_0d_case(self, rng, j):
+        # a plain int steps every row in one direction, bitwise as a per-row call with that direction in each row
+        def same(a, b):
+            assert set(a) == set(b)
+            for name in a:
+                assert np.shape(a[name]) == np.shape(b[name]) and a[name].tobytes() == b[name].tobytes(), name
+
+        rows = np.full(4, j)
+        eps = (0.1, 0.2, 0.15, 1.0)
+        conj, vals = ConjugateSystem(4, 3, tail_dirs=(3,)), _stack(_conjugate_states(rng, 4, 4))
+        same(conj.step(j, vals, eps), conj.step(rows, vals, eps))
+        frame, states = FrameSurfaceSystem(ALG3, (1, 2), "gamma"), _stack([random_surface_state(ALG3, rng)
+                                                                          for _ in rows])
+        same(frame.step(j, states, (0.1, 0.1)), frame.step(rows, states, (0.1, 0.1)))
+        corners = CornerState(rng.normal(size=(4, 3)), rng.normal(size=(4, 4, 3)), rng.uniform(-0.2, 0.2, (4, 4, 4)))
+        same(vars(conjugate.shift_state(corners, j, eps)), vars(conjugate.shift_state(corners, rows, eps)))
+
     @pytest.mark.parametrize("M,tail_dirs", [(3, ()), (4, ()), (4, (3,))])
     def test_conjugate_rows_with_own_outputs(self, rng, M, tail_dirs):
         system = ConjugateSystem(M, 3, tail_dirs=tail_dirs)
