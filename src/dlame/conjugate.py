@@ -66,10 +66,9 @@ class _BlockPlan(NamedTuple):
     """Gather indices into the flattened (M*M) coefficient matrix for a set of
     triples, and the output keys of the solved blocks in row order."""
 
-    block: np.ndarray          # (ntrip, 9): the 3x3 sub-matrix of each triple
-    coeffs: np.ndarray         # (ntrip, 4, 6): c_ab, c_kb, c_ak, c_ka of every block row (a, b, k)
-    cidx: np.ndarray           # (ntrip, 18): block entry = _BASE + _SIGN * eps[eidx] * c[cidx]
-    eidx: np.ndarray
+    gather: np.ndarray         # (ntrip, 33): c_ab, c_kb, c_ak, c_ka of every block row (a, b, k),
+                               # then the 3x3 sub-matrix of the triple
+    eidx: np.ndarray           # (ntrip, 18): block entry = _BASE + _SIGN * eps[eidx] * (c_ab, c_kb, c_ab)
     tail_trip: np.ndarray      # per tail factor: triple position, c_{d,i}, c_{d,j}
     tail_i: np.ndarray
     tail_j: np.ndarray
@@ -106,78 +105,121 @@ def _block_plan(M: int, triple, tail_dirs: tuple) -> _BlockPlan:
     coeffs = np.stack([T[:, p] * M + T[:, q] for p, q in
                        ((_ROW_A, _ROW_B), (_ROW_K, _ROW_B), (_ROW_A, _ROW_K), (_ROW_K, _ROW_A))], axis=1)
     return _BlockPlan(
-        block=(T[:, :, None] * M + T[:, None, :]).reshape(len(triples), 9), coeffs=coeffs,
-        cidx=np.concatenate([coeffs[:, 0], coeffs[:, 1], coeffs[:, 0]], axis=-1),
+        gather=np.concatenate([coeffs.reshape(-1, 24), (T[:, :, None] * M + T[:, None, :]).reshape(-1, 9)], axis=1),
         eidx=np.concatenate([T[:, _ROW_A], T[:, _ROW_B], T[:, _ROW_B]], axis=-1),
         tail_trip=np.array(tail_trip, dtype=int), tail_i=np.array(tail_i, dtype=int),
         tail_j=np.array(tail_j, dtype=int), tail_msg=tuple(tail_msg), triples=triples, keys=keys, dense=dense)
 
 
-def _implicit_blocks(c: np.ndarray, eps, triple, tail_dirs, need=None):
-    """The stacked blocks A and right-hand sides F of `dcn_step_c`, the output
-    keys in row order, and its gates as `raise_first` checks; nothing is solved."""
-    c = np.asarray(c, dtype=float)
-    M = c.shape[-1]
-    if not (triple is None or isinstance(triple, tuple)):
-        triple = tuple(np.ravel(triple).tolist())
-    plan = _block_plan(M, triple, tuple(tail_dirs))
-    e = np.asarray(eps, dtype=float)
-    batch = c.shape[:-2]
+def _own_sources(c: np.ndarray, e: np.ndarray):
+    """c (..., M, M) and eps ((M,) or (..., M)) with every entry of their broadcast
+    batch as its own source: c as (S, M, M), eps as (M,) or (S, M), and the batch shape."""
+    M, batch = c.shape[-1], c.shape[:-2]
     if e.shape[:-1] not in ((), batch):
         batch = np.broadcast_shapes(batch, e.shape[:-1])
-        c = np.broadcast_to(c, batch + (M, M))
-    ntrip = len(plan.triples)
-    cf = c.reshape(batch + (M * M,))
-    g = cf[..., plan.coeffs]
-    cab, ckb, cak, cka = g[..., 0, :], g[..., 1, :], g[..., 2, :], g[..., 3, :]
-    entries = _BASE + _SIGN * e[..., plan.eidx] * cf[..., plan.cidx]
-    A = np.zeros(batch + (ntrip, 36))
-    A[..., _ENTRIES] = entries
-    A = A.reshape(batch + (ntrip, 6, 6))
+        c, e = np.broadcast_to(c, batch + (M, M)), np.broadcast_to(e, batch + (M,))
+    return c.reshape(-1, M, M), e if e.ndim == 1 else e.reshape(-1, M), batch
+
+
+@functools.lru_cache(maxsize=64)
+def _own_slots(batch: tuple, T: int):
+    """Slots of a flat block list when each entry of the batch is its own source: per
+    entry the slot of each triple, and the offset of its first slot in `_advance`'s table."""
+    inv = np.arange(math.prod(batch)).reshape(batch)
+    slots = inv[..., None] * (T + 1) + np.arange(T), (6 * T + 6) * inv[..., None, None]
+    for arr in slots:
+        arr.flags.writeable = False
+    return slots
+
+
+def _implicit_blocks(c: np.ndarray, e: np.ndarray, plan: _BlockPlan, blocks, reads):
+    """The stacked blocks A and right-hand sides F of `dcn_step_c`'s block list,
+    and its gates as `raise_first` checks over the rows of `reads` (none when
+    no block fails); nothing is solved."""
+    M = c.shape[-1]
+    ntrip, nfac = len(plan.triples), len(plan.tail_msg)
+    # block b: triple t of the corner c[s], for its slot s (ntrip + 1) + t
+    src, at = np.divmod(blocks, ntrip + 1)
+    rows, cf = src[:, None], c.reshape(-1, M * M)
+    g = cf[rows, plan.gather[at]]
+    eb = e[plan.eidx[at]] if e.ndim == 1 else e[rows, plan.eidx[at]]
+    coeffs = g[:, :24].reshape(-1, 4, 6)
+    cab, ckb, cak, cka = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2], coeffs[:, 3]
+    entries = _BASE + _SIGN * eb * np.concatenate([cab, ckb, cab], axis=-1)
+    A = np.zeros((len(blocks), 36))
+    A[:, _ENTRIES] = entries
+    A = A.reshape(-1, 6, 6)
     F = cak * ckb + cka * cab - ckb * cab
-    if need is not None and batch and not need.all():
-        # a block an entry does not read is an identity with a nan right-hand side
-        A, F = np.where(need[..., None, None], A, np.eye(6)), np.where(need[..., None], F, np.nan)
     # no row vanishes: a row with c_ab = 0 has diagonal 1, one with c_ab != 0 the entry -eps_b c_ab
     ratio = np.abs(np.linalg.det(A)) / np.sqrt(np.einsum("...ij,...ij->...i", A, A)).prod(axis=-1)
-    if need is not None:  # every entry is gated on the blocks it reads
-        ratio = np.where(need, ratio, np.inf)
+    bad = ratio < TOL.degeneracy
+    if nfac:  # each block tests the factors of its own triple
+        cmax = np.max(np.abs(g[:, 24:]), axis=-1)
+        fac = (1.0 + cf[rows, plan.tail_i]) * (1.0 + cf[rows, plan.tail_j])
+        tail_bad = (np.abs(fac) < TOL.degeneracy * (1.0 + cmax[:, None]) ** 2) & (plan.tail_trip == at[:, None])
+        bad = bad | tail_bad.any(axis=-1)
+    if not bad.any():
+        return A, F, []
+    # a row fails on the blocks it reads: per row and triple, the block's slot (none: a slot of no block)
+    slots = np.full(reads.max() + 1, np.inf)
+    slots[blocks] = ratio
+    ratio = slots[reads]
     checks = []
-    if plan.tail_msg:
-        cmax = np.max(np.abs(cf[..., plan.block]), axis=-1)
-        fac = (1.0 + cf[..., plan.tail_i]) * (1.0 + cf[..., plan.tail_j])
-        tail_bad = np.abs(fac) < TOL.degeneracy * (1.0 + cmax[..., plan.tail_trip]) ** 2
-        tail_bad = tail_bad if need is None else tail_bad & need[..., plan.tail_trip]
+    if nfac:
+        slots = np.zeros((len(slots), nfac), dtype=bool)
+        slots[blocks] = tail_bad
+        tail_bad = slots[reads[..., plan.tail_trip], np.arange(nfac)]
         checks.append((tail_bad.any(axis=-1), lambda row: DegenerateHexahedron(
-            plan.tail_msg[int(np.argmax(tail_bad.reshape(-1, len(plan.tail_msg))[row]))])))
+            plan.tail_msg[int(np.argmax(tail_bad.reshape(-1, nfac)[row]))])))
     checks.append(((ratio < TOL.degeneracy).any(axis=-1), lambda row: DegenerateHexahedron(
         f"implicit block for triple "
         f"{plan.triples[int(np.argmin(ratio.reshape(-1, ntrip)[row]))]} is singular")))
-    return A, F, plan.keys, checks
+    return A, F, checks
 
 
-def dcn_step_c(c: np.ndarray, eps, triple=None, tail_dirs=(), need=None) -> dict:
+def dcn_step_c(c: np.ndarray, eps, triple=None, tail_dirs=(), blocks=None, reads=None):
     """Solve the implicit blocks for the difference quotients delta_a c_cb.
 
     c is an (..., M, M) array of rotation coefficients at the cube corner
     (diagonal ignored, 0-based) with any leading batch axes, and eps the mesh
     sizes, (M,) or (..., M) per batch entry; the two broadcast.  `triple`
-    selects one unordered index triple, a list of them, or all (None); the
-    blocks of every batch entry are assembled and factored as one stacked
-    batch.  `need`, boolean (..., ntrip) over the batch axes and the triples,
-    marks the blocks each entry reads; the others are not gated, and they read
-    nan where c carries batch axes (a corner without them, shared by every
-    entry, has each of its blocks solved once).
-    Returns {(a, b, c): delta_a c_bc} with values over the batch axes,
-    covering every ordered pair inside the requested triple(s).  Raises
-    DegenerateHexahedron, carrying the first offending batch row, when the
-    Hadamard ratio |det A| / prod_r |A_r| of a block falls below tolerance,
-    or when a tail-direction block has a vanishing factor 1 + c_{Mi}.
+    selects one unordered index triple, a list of them, or all (None).
+    Without `blocks`, every batch entry is a source that reads the blocks of
+    every triple, and the result is {(a, b, c): delta_a c_bc} with values
+    over the batch axes, covering every ordered pair inside the requested
+    triple(s).
+
+    With `blocks`, a flat list of the blocks to solve: c holds source
+    corners (S, M, M) and eps is (M,) or (S, M); block b sits in the slot
+    s (ntrip + 1) + t = blocks[b], triple t of corner s, and the slots
+    s (ntrip + 1) + ntrip hold no block.  The result is then a flat array
+    whose entries 6 b .. 6 b + 5 are block b's quotients in the order of its
+    triple's keys, and the gates run per row of `reads`, an int array
+    (..., ntrip) holding the slot that a row reads of each triple.  All
+    blocks are assembled and factored as one stacked batch.
+
+    Raises DegenerateHexahedron, carrying the first offending row (batch
+    entry without `blocks`), when the Hadamard ratio |det A| / prod_r |A_r|
+    of a block it reads falls below tolerance (naming its most singular
+    block), or when a tail-direction block has a vanishing factor
+    1 + c_{Mi}; a row is tested on every tail factor first.
     """
-    A, F, keys, checks = _implicit_blocks(c, eps, triple, tail_dirs, need)
-    raise_first(checks)
-    delta = np.linalg.solve(A, F[..., None])[..., 0].reshape(A.shape[:-3] + (-1,))
-    return {key: delta[..., k] for k, key in enumerate(keys)}
+    c, e = np.asarray(c, dtype=float), np.asarray(eps, dtype=float)
+    if not (triple is None or isinstance(triple, tuple)):
+        triple = tuple(np.ravel(triple).tolist())
+    plan, batch = _block_plan(c.shape[-1], triple, tuple(tail_dirs)), None
+    if blocks is None:
+        c, e, batch = _own_sources(c, e)
+        reads = _own_slots(batch, len(plan.triples))[0]
+        blocks = reads.reshape(-1)
+    A, F, checks = _implicit_blocks(c, e, plan, blocks, reads)
+    if checks:
+        raise_first(checks)
+    delta = np.linalg.solve(A, F[..., None])[..., 0]
+    if batch is None:
+        return delta.reshape(-1)
+    delta = delta.reshape(batch + (-1,))
+    return {key: delta[..., k] for k, key in enumerate(plan.keys)}
 
 
 @dataclass
@@ -215,27 +257,52 @@ def _shift_edges(state: CornerState, a: np.ndarray, eps, edges: bool = True):
     return x, np.where(np.eye(state.M, dtype=bool)[a][..., None], np.nan, w), ea
 
 
-def _advance(state: CornerState, a: np.ndarray, eps, triples: tuple, tail_dirs, need=None,
+def _advance(state: CornerState, a: np.ndarray, eps, triples, tail_dirs, need=None, sources=None,
              edges: bool = True) -> CornerState:
     """The one conjugate step kernel: tau_a x and tau_a w (unless state.w is None;
-    w only if `edges`) and tau_a c for the direction a of each entry (an int
-    array broadcasting against the batch axes), from the blocks of `triples`
-    solved in one `dcn_step_c` call, of which each entry reads need[..., t]
-    (None: all).  Row a of w and the c_pq no solved block covers are nan."""
+    w only if `edges`) and tau_a c (unless `triples` is None) for the direction a
+    of each row (an int array broadcasting against the batch axes).
+
+    A block depends on c and eps alone, so it is solved once per source: with
+    `sources` = (first, inv), row first[s] holds the corner of source s and
+    inv the source of each row; without, every entry of the (c, eps) batch is
+    a source.  One `dcn_step_c` call solves each (source, triple) block of
+    `triples` that some row reads (need[..., t]; None: every row reads every
+    block of its source), each row gated on the blocks it reads.  Row a of w
+    and the c_pq no solved block covers are nan."""
+    e = np.asarray(eps, dtype=float)
     if state.w is None:
         x = w = None
-        ea = _at(np.asarray(eps, dtype=float), 1, a)[..., None]
+        ea = _at(e, 1, a)[..., None]
     else:
-        x, w, ea = _shift_edges(state, a, eps, edges)
-    delta = {}
-    if triples:
-        delta = dcn_step_c(state.c, eps, triples, tail_dirs, need=need)
-    # delta_a c_pq of every entry from the solved blocks, a nan row where none covers it
-    values = list(delta.values())
-    shape = np.shape(values[0]) if values else ()
-    solved = np.array(values + [np.full(shape, np.nan)]).reshape(len(values) + 1, -1)
-    entry = np.arange(solved.shape[1]).reshape(shape)[..., None, None]
-    D = solved[_block_plan(state.M, triples, tuple(tail_dirs)).dense[a], entry]
+        x, w, ea = _shift_edges(state, a, e, edges)
+    if triples is None:
+        return CornerState(x, w, None)
+    M, T = state.M, len(triples)
+    if sources is None:
+        c, e, batch = _own_sources(state.c, e)
+        S = len(c)
+        reads, offset = _own_slots(batch, T)
+    else:
+        first, inv = sources
+        S, c = len(first), state.c[first]
+        e = e if e.ndim == 1 else np.broadcast_to(e, state.c.shape[:-2] + (M,))[first]
+        reads, offset = inv[..., None] * (T + 1) + np.arange(T), (6 * T + 6) * inv[..., None, None]
+    # slot s (T + 1) + t: the six quotients of block (s, t), nan where it is not solved;
+    # slot s (T + 1) + T: nan, read by the c_pq that no triple covers
+    table = np.full((S * (T + 1), 6), np.nan)
+    if T:
+        if need is None and sources is None:
+            blocks = reads.reshape(-1)  # every source once, with all its blocks
+        else:
+            if need is not None:
+                reads = np.where(need, reads, T)  # slot T holds no block
+            hit = np.zeros(len(table), dtype=bool)
+            hit[reads] = True
+            hit[T] = False
+            blocks = np.flatnonzero(hit)
+        table[blocks] = dcn_step_c(c, e, triples, tail_dirs, blocks=blocks, reads=reads).reshape(-1, 6)
+    D = table.reshape(-1)[offset + _block_plan(M, triples, tuple(tail_dirs)).dense[a]]
     return CornerState(x, w, state.c + ea[..., None] * D)
 
 
@@ -276,8 +343,9 @@ class ConjugateSystem(HyperbolicSystem):
             for k in range(M) if k not in (i, j)}) for i, j in itertools.permutations(range(M), 2)]
         super().__init__(M, comps)
 
-    def step(self, direction, vals, eps, outputs=None):
-        """Pack the components into a corner state, advance it, unpack the outputs."""
+    def step(self, direction, vals, eps, outputs=None, sources=None):
+        """Pack the components into a corner state, advance it, unpack the outputs; the
+        implicit blocks are solved once per source site of `sources` (see `_advance`)."""
         M, a = self.M, np.asarray(direction)
         ret, triples, cover, need = _step_plan(M, tuple(sorted(set(a.ravel().tolist()))),
                                                None if outputs is None else tuple(outputs))
@@ -288,14 +356,17 @@ class ConjugateSystem(HyperbolicSystem):
         elif need is not None:
             need = need[a]
         x = np.asarray(vals["x"], dtype=float)
-        c = np.zeros(x.shape[:-1] + (M, M))
-        for name, p, q in _cnames(M):
-            c[..., p, q] = vals[name]
         edges = any(len(n) == 2 for n in ret)  # every output but a coefficient reads w
+        c = None
+        if edges or triples:  # x alone reads no c
+            c = np.zeros(x.shape[:-1] + (M, M))
+            for name, p, q in _cnames(M):
+                c[..., p, q] = vals[name]
         w = np.empty(x.shape[:-1] + (M, x.shape[-1])) if edges or ret[:1] == (("x",),) else None
         for i in range(M if w is not None else 0):
             w[..., i, :] = vals[f"w{i + 1}"]
-        new = _advance(CornerState(x, w, c), a, eps, triples, self.tail_dirs, need, edges)
+        # no coefficient returned: no tau c either
+        new = _advance(CornerState(x, w, c), a, eps, triples or None, self.tail_dirs, need, sources, edges)
         return {name: new.c[(..., *at)] if len(at) == 2 else new.w[..., at[0], :] if at else new.x
                 for name, *at in ret}
 
@@ -313,18 +384,22 @@ def shift_state(state: CornerState, direction, eps, tail_dirs=()) -> CornerState
     direction, so a failing gate names the first entry that reads the block.
     """
     a = np.asarray(direction)
-    dirs = set(a.ravel().tolist())
-    known = (~np.isnan(state.c)).all(axis=tuple(range(state.c.ndim - 2))).tolist()
-    triples = tuple(t for t in itertools.combinations(range(state.M), 3)
-                    if dirs & set(t) and all(known[p][q] for p, q in itertools.permutations(t, 2)))
-    need = _members(state.M, triples)[a] if len(dirs) > 1 else None
-    return _advance(state, a, eps, triples, tail_dirs, need)
+    known = ~np.isnan(state.c).any(axis=tuple(range(state.c.ndim - 2)))
+    triples, members = _shift_triples(state.M, tuple(sorted(set(a.ravel().tolist()))), known.tobytes())
+    return _advance(state, a, eps, triples, tail_dirs, None if members is None else members[a])
 
 
-@functools.lru_cache(maxsize=None)
-def _members(M: int, triples: tuple) -> np.ndarray:
-    """(M, len(triples)): whether direction d is in triple t."""
-    return np.array([[d in t for t in triples] for d in range(M)], dtype=bool).reshape(M, len(triples))
+@functools.lru_cache(maxsize=256)
+def _shift_triples(M: int, dirs: tuple, known: bytes):
+    """The triples `shift_state` solves for the directions `dirs` when known[p, q] (an (M, M)
+    bool array as bytes) tells the coefficients known in every entry, and whether direction
+    d is in triple t, (M, len(triples)) (None for a single direction, whose rows read them all)."""
+    known = np.frombuffer(known, dtype=bool).reshape(M, M)
+    triples = tuple(t for t in itertools.combinations(range(M), 3)
+                    if set(dirs) & set(t) and all(known[p, q] for p, q in itertools.permutations(t, 2)))
+    members = np.array([[d in t for t in triples] for d in range(M)], dtype=bool).reshape(M, len(triples))
+    members.flags.writeable = False
+    return triples, None if len(dirs) == 1 else members
 
 
 def hexahedron_algebraic(state: CornerState, eps) -> np.ndarray:
@@ -364,7 +439,9 @@ def elementary_hexahedron(state: CornerState, eps) -> np.ndarray:
     rabs = np.abs(rdiag)
     edge_scale = np.maximum(1.0, rabs.max(axis=(-2, -1)))
     flat = np.diagonal(rabs, axis1=-2, axis2=-1).min(axis=-1) < 1e-10 * edge_scale
-    *_, block_checks = _implicit_blocks(state.c, e, None, ())
+    c, e_src, batch = _own_sources(state.c, e)
+    reads = _own_slots(batch, 1)[0]
+    block_checks = _implicit_blocks(c, e_src, _block_plan(3, None, ()), reads.reshape(-1), reads)[2]
     # every entry gets a unit axis, which the shift broadcasts to its three lead directions
     corner = CornerState(state.x[..., None, :], state.w[..., None, :, :], state.c[..., None, :, :])
     x, w, _ = _shift_edges(corner, np.arange(3), e[..., None, :])      # batch (..., lead)

@@ -197,6 +197,14 @@ class HyperbolicSystem:
     failing entry (see `errors.raise_first`).  The Goursat driver makes one
     step call per level, with a direction and a mask row per (destination
     site, direction) pair.
+
+    `sources`, when given, is the source table (first, inv) of a call whose
+    rows hold the values of a few distinct sites: inv[row] indexes the row's
+    site among them, and row first[s] holds the values of site s.  Rows of
+    one site carry equal values (and equal mesh sizes when `eps` is given
+    per row), so a rule may do its per-site work once per site; the result
+    must equal the call without the table.  The Goursat
+    driver passes its fill plan's table with every call.
     """
 
     M: int
@@ -227,7 +235,7 @@ class HyperbolicSystem:
     def component(self, name: str) -> Component:
         return self._by_name[name]
 
-    def step(self, direction, vals: Mapping[str, np.ndarray], eps: Sequence[float], outputs=None):
+    def step(self, direction, vals: Mapping[str, np.ndarray], eps: Sequence[float], outputs=None, sources=None):
         """Shifted values tau_j u_k; outputs restricts which components to produce."""
         raise NotImplementedError
 
@@ -244,12 +252,14 @@ def _signature(system: HyperbolicSystem) -> tuple:
 def _fill_plan(signature: tuple, npts: tuple[int, ...], request: tuple[str, ...] | None):
     """Per level with work, the one step call that fills it on a box of `npts` sites (see goursat_solve).
 
-    A call is (outputs, dirs, src, dst, mask): the union of its output names
-    (sorted), then per row the step direction and the read-only flat C-order
-    source and destination sites, and mask[row, k] whether the row owns
-    outputs[k].  A row is a (destination site, direction) pair; rows are in
-    fill order: by the site's position within its level, then by the
-    declaration index of the row's first output.
+    A call is (outputs, dirs, src, dst, mask, sources): the union of its
+    output names (sorted), then per row the step direction and the read-only
+    flat C-order source and destination sites, mask[row, k] whether the row
+    owns outputs[k], and the call's source table (first, inv): its distinct
+    source sites in site order, first[s] the first row stepping from source
+    s and inv[row] the source of each row.  A row is a (destination site,
+    direction) pair; rows are in fill order: by the site's position within
+    its level, then by the declaration index of the row's first output.
     """
     M, names = len(npts), [name for name, _, _ in signature]
     coords = np.indices(npts).reshape(M, -1)
@@ -296,9 +306,12 @@ def _fill_plan(signature: tuple, npts: tuple[int, ...], request: tuple[str, ...]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         used = np.flatnonzero(mask[lo:hi].any(axis=0))
         cols = used[np.argsort([names[c] for c in used], kind="stable")]
-        own = mask[lo:hi, cols].copy()
-        own.flags.writeable = False
-        plan.append((tuple(names[c] for c in cols), dirs[lo:hi], src[lo:hi], dst[lo:hi], own[:]))
+        # the call's source table: its distinct source sites, each by its first row, and the source of each row
+        _, first, inv = np.unique(src[lo:hi], return_index=True, return_inverse=True)
+        own, inv = mask[lo:hi, cols].copy(), inv.copy()
+        for a in (own, first, inv):
+            a.flags.writeable = False
+        plan.append((tuple(names[c] for c in cols), dirs[lo:hi], src[lo:hi], dst[lo:hi], own[:], (first[:], inv[:])))
     return tuple(plan)
 
 
@@ -318,8 +331,9 @@ def goursat_solve(
     sum(idx) = k is read from level k - 1 only, so a level is filled by one
     step call: one row per (destination site, direction) pair that produces a
     value, with per-row directions, the union of the level's output names as
-    `outputs`, each mapped to the mask of the rows that own it, and each
-    output scattered from its own rows only.
+    `outputs`, each mapped to the mask of the rows that own it, the level's
+    source table as `sources`, and each output scattered from its own rows
+    only.
 
     A step rule that raises is reported as DomainViolation carrying the
     source site (plain-float coordinates), the step direction and the cause
@@ -335,8 +349,8 @@ def goursat_solve(
     The schedule of step calls (the fill plan) is a pure function of the
     components' names, static directions and read sets, of `mesh.npts` and
     of the set of requested names.  It is built once per such key, vectorised
-    over the box (per level: row directions, source and destination sites and
-    one output mask array), and kept in a bounded, process-local LRU cache; a
+    over the box (per level: row directions, source and destination sites,
+    one output mask array and the source table), and kept in a bounded, process-local LRU cache; a
     solve then only gathers, steps and scatters on flat views of the fields.
     """
     if mesh.M != system.M:
@@ -360,10 +374,11 @@ def goursat_solve(
         full[comp.name][static] = np.broadcast_to(np.asarray(arr, dtype=float), stat_shape + comp.shape)
 
     flat = {comp.name: full[comp.name].reshape((-1,) + comp.shape) for comp in comps}
-    for outputs, dirs, src, dst, mask in plan:
+    for outputs, dirs, src, dst, mask, sources in plan:
         own = dict(zip(outputs, mask.T))
         try:
-            out = system.step(dirs, {name: vals[src] for name, vals in flat.items()}, mesh.eps, outputs=own)
+            out = system.step(dirs, {name: vals[src] for name, vals in flat.items()}, mesh.eps, outputs=own,
+                              sources=sources)
         except DomainViolation:
             raise
         except Exception as exc:

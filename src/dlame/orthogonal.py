@@ -98,7 +98,12 @@ def _normal_sq(eps, beta: np.ndarray, skip) -> np.ndarray:
     """N_i^2 = 1 - eps^2/4 * sum_{k != skip} beta_k^2 over the batch axes; eps, skip may be per row."""
     beta = np.asarray(beta, dtype=float)
     keep = _slots(beta.shape[-1])[1][skip]
-    kept = beta[..., keep] if keep.ndim == 1 else beta[keep].reshape(keep.shape[:-1] + (-1,))
+    if keep.ndim == 1:
+        kept = beta[..., keep]
+    else:  # per-row slots: the mask takes the batch shape of beta, which skip broadcasts against
+        if keep.shape != beta.shape:
+            keep = np.broadcast_to(keep, beta.shape)
+        kept = beta[keep].reshape(keep.shape[:-1] + (-1,))
     return 1.0 - eps * eps / 4.0 * (kept ** 2).sum(axis=-1)
 
 
@@ -209,10 +214,11 @@ class FrameSurfaceSystem(HyperbolicSystem):
         raise_first([*gates, *checks])
         return rho12, rho21, np.sqrt(nsq), n1, n2
 
-    def step(self, direction, vals, eps, outputs=None):
+    def step(self, direction, vals, eps, outputs=None, sources=None):
         """Step each entry in its direction (an int array that broadcasts against the batch
         axes); h_i and b_i hold nan in the entries stepping in direction i.  An entry
-        is gated on the splitting if it owns h or b, else on N_a^2 > 0."""
+        is gated on the splitting if it owns h or b, else on N_a^2 > 0.  The rule has no
+        per-site work to share, so it ignores `sources`."""
         want = {"psi", "h1", "h2", "b1", "b2"} if outputs is None else set(outputs)
         # a = the step direction, b = the other one; first: the entries with a = 0
         a, e = np.asarray(direction), np.asarray(eps, dtype=float)

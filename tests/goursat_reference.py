@@ -158,14 +158,15 @@ def per_row(cls):
     """Subclass of the system class `cls` whose step splits a call with rows on
     the leading axis of every value into one call per row: the row's direction
     as a plain int, its values, and the tuple of the outputs it owns (all of
-    `outputs` unless they map names to masks).  The results are stacked, nan
-    in the rows that do not return a component; a failing call raises with
-    `row` set to its row.  `calls` counts the one-row calls."""
+    `outputs` unless they map names to masks), without a source table.  The
+    results are stacked, nan in the rows that do not return a component; a
+    failing call raises with `row` set to its row.  `calls` counts the
+    one-row calls."""
 
     class PerRow(cls):
         calls = 0
 
-        def step(self, direction, vals, eps, outputs=None):
+        def step(self, direction, vals, eps, outputs=None, sources=None):
             n = len(next(iter(vals.values())))
             outs = []
             for r, j in enumerate(np.broadcast_to(direction, (n,)).tolist()):

@@ -45,7 +45,7 @@ class ReferenceConjugateSystem(ConjugateSystem):
             c[..., i, j] = vals[name]
         return c
 
-    def step(self, direction: int, vals, eps, outputs=None):
+    def step(self, direction: int, vals, eps, outputs=None, sources=None):
         j = direction
         want = None if outputs is None else set(outputs)
 
@@ -223,7 +223,7 @@ class ReferenceFrameSurfaceSystem(FrameSurfaceSystem):
         ])
         return rho12, rho21, np.sqrt(nsq), n1, n2
 
-    def step(self, direction: int, vals, eps, outputs=None):
+    def step(self, direction: int, vals, eps, outputs=None, sources=None):
         want = None if outputs is None else set(outputs)
 
         def wanted(*names):

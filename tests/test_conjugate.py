@@ -345,8 +345,8 @@ class TestConsistency:
 
     def test_broken_rule_detected(self, rng):
         class Broken(ConjugateSystem):
-            def step(self, direction, vals, eps, outputs=None):
-                out = super().step(direction, vals, eps, outputs)
+            def step(self, direction, vals, eps, outputs=None, sources=None):
+                out = super().step(direction, vals, eps, outputs, sources)
                 rows = np.asarray(direction)
                 for a, b in itertools.combinations(range(self.M), 2):
                     name = cname(a + 1, b + 1)
@@ -373,8 +373,8 @@ class TestConsistency:
         # one call for the four triples of the corner; the shifted cubes are gated, not solved
         calls = []
 
-        def counting(c, eps, triple=None, tail_dirs=(), need=None):
-            out = dcn_step_c(c, eps, triple, tail_dirs, need)
+        def counting(c, eps, triple=None, tail_dirs=(), blocks=None, reads=None):
+            out = dcn_step_c(c, eps, triple, tail_dirs, blocks, reads)
             calls.append(len(out) // 6)
             return out
 

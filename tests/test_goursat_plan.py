@@ -54,13 +54,14 @@ def planned_rows(system, mesh, data, request=None):
     """The planned driver's fields, and its step calls split into rows (flat
     source site, direction, the outputs the row owns) in call order: one call
     per level with work, with per-row directions and a per-row output mask."""
-    calls, inner = [], system.step
+    calls, tables, inner = [], [], system.step
 
-    def step(j, vals, eps, outputs=None):
+    def step(j, vals, eps, outputs=None, sources=None):
         assert np.shape(j) == np.shape(next(iter(vals.values())))[:1]
         calls.append([(int(d), tuple(name for name in outputs if outputs[name][r]))
                       for r, d in enumerate(np.asarray(j).tolist())])
-        return inner(j, vals, eps, outputs=outputs)
+        tables.append(sources)
+        return inner(j, vals, eps, outputs=outputs, sources=sources)
 
     system.step = step
     try:
@@ -69,9 +70,15 @@ def planned_rows(system, mesh, data, request=None):
         del system.step
     plan = _fill_plan(_signature(system), tuple(mesh.npts), None if request is None else tuple(sorted(set(request))))
     assert len(calls) == len(plan)
-    for call, (outputs, dirs, *_) in zip(calls, plan):
+    for call, table, (outputs, dirs, level_src, _, _, sources) in zip(calls, tables, plan):
         assert [d for d, _ in call] == dirs.tolist()
         assert sorted(set().union(*(own for _, own in call))) == list(outputs)
+        # the call's distinct source sites in site order, each named by its first row
+        first, inv = table
+        assert table is sources
+        assert level_src[first].tolist() == sorted(set(level_src.tolist()))
+        assert np.array_equal(level_src[first][inv], level_src)
+        assert np.array_equal(first, [np.flatnonzero(level_src == s)[0] for s in level_src[first]])
     src = [s for _, _, level_src, *_ in plan for s in level_src.tolist()]
     rows = [row for call in calls for row in call]
     assert len(rows) == len(src)
@@ -126,7 +133,7 @@ class ThreeGate(SiteGate):
         ])
         self.bad = bad
 
-    def step(self, j, vals, eps, outputs=None):
+    def step(self, j, vals, eps, outputs=None, sources=None):
         super().step(j, {"u": vals["a"]}, eps)      # raises at a listed (source, direction)
         return {name: np.asarray(vals[name]) + np.eye(2)[j] for name in outputs}
 
@@ -146,7 +153,7 @@ class Wide(HyperbolicSystem):
             Component(name, (), static[k], {j: self.reads[name, j] for j in (0, 1) if (name, j) in self.reads})
             for k, name in enumerate(names)])
 
-    def step(self, j, vals, eps, outputs=None):
+    def step(self, j, vals, eps, outputs=None, sources=None):
         # each row reads per its own direction; a component static in 0 has no rule in 0 and no row there
         nxt = {name: vals[self.reads.get((name, 0), (name,))[-1]] for name in outputs}
         return {name: 0.9 * vals[name] + 0.1 * np.where(np.asarray(j) == 0, nxt[name], vals[self.reads[name, 1][-1]])
@@ -276,9 +283,9 @@ class TestFusedLevels:
         system, calls = ConjugateSystem(3, 3), []
         inner = system.step
 
-        def step(j, vals, eps, outputs=None):
+        def step(j, vals, eps, outputs=None, sources=None):
             calls.append(len(j))
-            return inner(j, vals, eps, outputs=outputs)
+            return inner(j, vals, eps, outputs=outputs, sources=sources)
 
         system.step = step
         data = {"x": rng.normal(size=3), **{f"w{i + 1}": w_axis[i] for i in range(3)},
@@ -323,9 +330,11 @@ class TestFusedLevels:
         for i, j in itertools.permutations(range(4), 2):
             corner[i, j] = c[cname(i + 1, j + 1)].values[0, 1, 0, 0]
 
-        def det(v):
+        plan, eps = conjugate._block_plan(4, (1, 2, 3), ()), np.asarray(mesh.eps, dtype=float)
+
+        def det(v):  # the one block of the one source corner
             corner[1, 2] = v
-            return np.linalg.det(_implicit_blocks(corner, mesh.eps, (1, 2, 3), ())[0][0])
+            return np.linalg.det(_implicit_blocks(corner[None], eps, plan, np.array([0]), np.array([[0]]))[0][0])
 
         grid = np.linspace(-2.0, 2.0, 9)
         roots = np.roots(np.polyfit(grid, [det(v) for v in grid], 8))
@@ -361,7 +370,7 @@ class TwoComponent(HyperbolicSystem):
         super().__init__(2, [Component("u", (), static_u, reads_u),
                              Component("v", (), (), {0: ("v",), 1: ("v",)})])
 
-    def step(self, j, vals, eps, outputs=None):
+    def step(self, j, vals, eps, outputs=None, sources=None):
         return {name: vals[name] + vals["v"] + 1.0 for name in outputs}
 
 
@@ -394,8 +403,8 @@ class TestPlanCache:
         system = ConjugateSystem(3, 3)
         plan = _fill_plan(_signature(system), (3, 4, 2), ("x",))
         assert plan
-        for _, *arrays in plan:
-            for arr in arrays:
+        for _, *arrays, (first, inv) in plan:
+            for arr in (*arrays, first, inv):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[...] = 0

@@ -36,7 +36,7 @@ class LinearSystem(HyperbolicSystem):
         super().__init__(M, [Component("u", (mats[0].shape[0],), (), {j: ("u",) for j in range(M)})])
         self.mats = np.array(mats)
 
-    def step(self, j, vals, eps, outputs=None):
+    def step(self, j, vals, eps, outputs=None, sources=None):
         u = np.asarray(vals["u"], dtype=float)
         return {"u": u + np.asarray(eps)[j][..., None] * (self.mats[j] @ u[..., None])[..., 0]}
 
@@ -121,7 +121,7 @@ class TestGoursat:
             def __init__(self):
                 super().__init__(1, [Component("u", (), (), {0: ("u",)})])
 
-            def step(self, j, vals, eps, outputs=None):
+            def step(self, j, vals, eps, outputs=None, sources=None):
                 return {"u": vals["u"]}
 
         mesh = MeshSpec(eps=(0.5,), npts=(6,))
@@ -162,7 +162,7 @@ class TestGoursat:
             def __init__(self):
                 super().__init__(1, [Component("u", (), (), {0: ("u",)})])
 
-            def step(self, j, vals, eps, outputs=None):
+            def step(self, j, vals, eps, outputs=None, sources=None):
                 # one site per level on a 1D box: the failing row is row 0
                 if np.any(vals["u"] > 2.5):
                     raise ValueError("left the domain")
@@ -190,7 +190,7 @@ class SiteGate(HyperbolicSystem):
         super().__init__(2, [Component("u", (2,), (), {0: ("u",), 1: ("u",)})])
         self.bad = bad
 
-    def step(self, j, vals, eps, outputs=None):
+    def step(self, j, vals, eps, outputs=None, sources=None):
         u = np.asarray(vals["u"], dtype=float)
         hit = np.zeros(u.shape[:-1], dtype=bool)
         for site, d in self.bad:

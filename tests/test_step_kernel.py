@@ -10,12 +10,12 @@ import pytest
 
 from dlame import conjugate, orthogonal
 from dlame.clifford import algebra
-from dlame.conjugate import ConjugateSystem, CornerState, check_4d_consistency, cname, solve_conjugate_net
+from dlame.conjugate import ConjugateSystem, CornerState, check_4d_consistency, cname, dcn_step_c, solve_conjugate_net
 from dlame.curves import warped_circle_curve
 from dlame.errors import DegenerateHexahedron, OutsideDomain, SqrtDomain
-from dlame.lattice import MeshSpec, consistency_residual
+from dlame.lattice import MeshSpec, _fill_plan, _signature, consistency_residual, goursat_solve
 from dlame.oracles import EllipticOracle, SphericalOracle, csurface_data_from_oracle
-from dlame.orthogonal import FrameSurfaceSystem, csurface_solve, ribaucour_pair_3d, ribaucour_solve
+from dlame.orthogonal import FrameSurfaceSystem, csurface_solve, orthosys_assemble, ribaucour_pair_3d, ribaucour_solve
 
 import step_reference as ref
 from conftest import random_surface_state
@@ -163,9 +163,9 @@ class TestResidualsAgainstReference:
                                   (FrameSurfaceSystem(ALG3), self.states[1][0], (0.1, 0.1))):
             calls = []
 
-            def step(a, v, e, outputs=None, inner=system.step):
+            def step(a, v, e, outputs=None, sources=None, inner=system.step):
                 calls.append((np.asarray(a).tolist(), all(np.isfinite(x).all() for x in v.values())))
-                return inner(a, v, e, outputs)
+                return inner(a, v, e, outputs, sources)
 
             monkeypatch.setattr(system, "step", step)
             consistency_residual(system, vals, eps)
@@ -174,8 +174,8 @@ class TestResidualsAgainstReference:
 
     def test_nan_mismatch_is_reported(self):
         class Drifting(ConjugateSystem):
-            def step(self, direction, vals, eps, outputs=None):
-                out = super().step(direction, vals, eps, outputs)
+            def step(self, direction, vals, eps, outputs=None, sources=None):
+                out = super().step(direction, vals, eps, outputs, sources)
                 return {**out, "x": out["x"] * np.nan} if np.ndim(direction) and len(direction) > 3 else out
 
         assert np.isnan(consistency_residual(Drifting(3, 3), self.states[0][0], (1.0,) * 3))
@@ -269,6 +269,51 @@ class TestPerRowDirections:
         same(frame.step(j, states, (0.1, 0.1)), frame.step(rows, states, (0.1, 0.1)))
         corners = CornerState(rng.normal(size=(4, 3)), rng.normal(size=(4, 4, 3)), rng.uniform(-0.2, 0.2, (4, 4, 4)))
         same(vars(conjugate.shift_state(corners, j, eps)), vars(conjugate.shift_state(corners, rows, eps)))
+
+    @pytest.mark.parametrize("rule,outputs", [("conjugate", None), ("conjugate", ("x",)), ("conjugate", "rows"),
+                                              ("table", None), ("table", "rows"),
+                                              ("frame", None), ("frame", ("psi",)), ("frame", "rows")])
+    def test_direction_column_against_a_batch(self, rng, rule, outputs):
+        # a (k, 1) direction against a (B,) batch: row (i, b) steps entry b in direction a[i]
+        sources = None
+        if rule == "frame":
+            system, eps, a = FrameSurfaceSystem(ALG3, (1, 2), "gamma"), (0.1, 0.1), np.array([[0], [1]])
+            states = [random_surface_state(ALG3, rng) for _ in range(5)]
+        else:
+            system, eps, a = ConjugateSystem(4, 3, tail_dirs=(3,)), (0.1, 0.2, 0.15, 1.0), np.array([[0], [3], [1], [2]])
+            states = _conjugate_states(rng, 4, 5)
+        if rule == "table":
+            # entries of one source share its corner and its per-entry mesh sizes
+            first, inv = np.array([0, 1, 3]), np.array([0, 1, 0, 2, 1])
+            states = [states[s] for s in inv]
+            eps = np.array([[0.1, 0.2, 0.15, 1.0], [0.05, 0.3, 0.1, 1.0], [0.2, 0.1, 0.25, 1.0]])[inv]
+            sources = first, np.broadcast_to(inv, a.shape[:1] + inv.shape)
+        owns = None
+        if outputs == "rows":
+            evolving = [[c.name for c in system.components if j not in c.static] for j in a[:, 0]]
+            owns = [[set(rng.choice(names, size=rng.integers(1, 4), replace=False)) for _ in states]
+                    for names in evolving]
+            outputs = {name: np.array([[name in own for own in row] for row in owns])
+                       for name in sorted(set().union(*(own for row in owns for own in row)))}
+        batch = system.step(a, _stack(states), eps, outputs, sources)
+        for i, j in enumerate(a[:, 0].tolist()):
+            for b, state in enumerate(states):
+                single = system.step(j, state, eps if sources is None else eps[b],
+                                     outputs if owns is None else tuple(sorted(owns[i][b])))
+                for name in single if owns is None else owns[i][b]:
+                    assert batch[name].shape[:2] == a.shape[:1] + (len(states),)
+                    assert batch[name][i, b].tobytes() == np.asarray(single[name], dtype=float).tobytes(), (name, i, b)
+                if owns is None:
+                    assert set(single) <= set(batch)
+                    assert all(np.isnan(batch[name][i, b]).all() for name in set(batch) - set(single))
+
+    def test_x_alone_reads_no_coefficient(self, rng):
+        system, eps = ConjugateSystem(4, 3, tail_dirs=(3,)), (0.1, 0.2, 0.15, 1.0)
+        vals = _stack(_conjugate_states(rng, 4, 4))
+        a = np.array([0, 3, 1, 2])
+        out = system.step(a, {k: v for k, v in vals.items() if not k.startswith("c")}, eps, ("x",))
+        assert list(out) == ["x"]
+        assert out["x"].tobytes() == system.step(a, vals, eps)["x"].tobytes()
 
     @pytest.mark.parametrize("M,tail_dirs", [(3, ()), (4, ()), (4, (3,))])
     def test_conjugate_rows_with_own_outputs(self, rng, M, tail_dirs):
@@ -364,3 +409,60 @@ class TestPerRowDirections:
         with pytest.raises(SqrtDomain) as err:
             system.step(a, _stack(states), (1.0, 1.0))
         assert err.value.row == 1
+
+
+class TestBlocksPerSource:
+    """The conjugate rule solves each (source site, triple) block that some row of a fused
+    level reads exactly once, and no other block."""
+
+    @staticmethod
+    def _read_blocks(system, mesh, request):
+        """Per step call with blocks, the set of (source index, triple) pairs its rows read,
+        from the fill plan's rows and owned outputs and the step plan's cover table."""
+        key = None if request is None else tuple(sorted(set(request)))
+        calls = []
+        for outputs, dirs, src, _, mask, _ in _fill_plan(_signature(system), tuple(mesh.npts), key):
+            ret, triples, cover, _ = conjugate._step_plan(system.M, tuple(sorted(set(dirs.tolist()))), outputs)
+            coeffs = [name for name, *at in ret if len(at) == 2]
+            if not triples:
+                continue
+            sites = sorted(set(src.tolist()))
+            pairs = set()
+            for r, (j, s) in enumerate(zip(dirs.tolist(), src.tolist())):
+                for t, trip in enumerate(triples):
+                    if any(cover[j, t, k] and mask[r, outputs.index(name)] for k, name in enumerate(coeffs)):
+                        pairs.add((sites.index(s), trip))
+            calls.append(pairs)
+        return calls
+
+    def _check(self, monkeypatch, run):
+        solves, solved = [], []
+
+        def recording(system, mesh, data, request=None):
+            solves.append((system, mesh, request))
+            return goursat_solve(system, mesh, data, request)
+
+        def counting(c, eps, triple=None, tail_dirs=(), blocks=None, reads=None):
+            src, t = np.divmod(blocks, len(triple) + 1)
+            solved.append([(int(s), triple[k]) for s, k in zip(src, t)])
+            return dcn_step_c(c, eps, triple, tail_dirs, blocks, reads)
+
+        monkeypatch.setattr(conjugate, "goursat_solve", recording)
+        monkeypatch.setattr(conjugate, "dcn_step_c", counting)
+        run()
+        expected = [pairs for system, mesh, request in solves if isinstance(system, ConjugateSystem)
+                    for pairs in self._read_blocks(system, mesh, request)]
+        assert [set(call) for call in solved] == expected
+        assert all(len(call) == len(set(call)) for call in solved)
+        return sum(map(len, solved))
+
+    def test_orthosys_assemble(self, monkeypatch):
+        assert self._check(monkeypatch, lambda: orthosys_assemble(SphericalOracle().surface_spec(0.05, 0.4))) > 0
+
+    def test_ribaucour_pair_3d(self, monkeypatch):
+        oracle = SphericalOracle()
+        spec = oracle.surface_spec(0.05, 0.4)
+        tangents = [oracle.curve(i).dx(0.0) for i in (1, 2, 3)]
+        seed = spec.x0 + sum(k * t / np.linalg.norm(t) for k, t in zip((0.45, 0.40, 0.42), tangents))
+        run = lambda: ribaucour_pair_3d(spec, {i: (lambda t: -1.0) for i in (1, 2, 3)}, seed)
+        assert self._check(monkeypatch, run) > 0
