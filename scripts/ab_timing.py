@@ -1,25 +1,27 @@
 #!/usr/bin/env python3
-"""Paired timing of two source trees in alternating subprocesses.
+"""Paired timing of two source trees in lockstep interpreters.
 
 Usage: python scripts/ab_timing.py TREE_A TREE_B [--rounds 10] [--passes 5]
 
 Each tree is a source checkout (its `src/` and `perfbench/`).  Every round
-starts one fresh interpreter per tree, A first in even rounds and B first in
-odd ones.  An interpreter imports the package and `perfbench/workloads.py`
-from its tree, without editing either, builds every workload with seed 1
-and measures after one untimed warm-up pass:
+starts one interpreter per tree and keeps both alive.  An interpreter imports
+the package and `perfbench/workloads.py` from its tree, without editing
+either, builds every workload with seed 1 and runs one untimed warm-up pass
+of each.  The two interpreters then alternate single timed passes in
+lockstep: per workload, `passes` pairs of one pass on A and one on B, A first
+in even pairs and B first in odd ones, so both sides of a pair see the same
+state of the host.  A pass is measured as
 
-- per-check latency (us) of the three criterion-02 suites (conjugate,
-  surface, 4d), the median over the checks of the `consistency` workload's
-  timed passes;
-- per-pass time (ms) of each workload's `run_pass`, the median over its
-  timed passes.
+- wall time and CPU time (`time.process_time`) of the workload's `run_pass`,
+  in ms;
+- for `consistency`, per-check latency (us) of the three criterion-02 suites
+  (conjugate, surface, 4d), the median over the checks of the pass.
 
-The report gives, per figure, the median and quartiles of the per-round
-values of each tree, B's median change against A's, and the rounds each tree
-was faster in.  It also checks that both trees produce the same output
-digests.  This is a diagnostic for code paths below the end-to-end
-benchmark, not a speed claim: claims come from `perfbench/run.py`.
+The report gives, per figure, the median and quartiles of each tree's
+passes, the median over all pairs of B's per-pair change against A, and the
+pairs each tree was faster in.  It also checks that both trees produce the
+same output digests.  This is a diagnostic for code paths below the
+end-to-end benchmark, not a speed claim: claims come from `perfbench/run.py`.
 
 Exit status: 0 on success, 1 if a measuring interpreter fails, 2 if the two
 trees' outputs differ.
@@ -42,30 +44,60 @@ WORKLOADS = ("surface", "orthosys_sweep", "consistency", "transforms")
 SEED = 1
 
 
-def measure(tree: Path, passes: int) -> dict:
-    """Figures of one tree, measured in this interpreter."""
+def serve(tree: Path) -> None:
+    """Build the workloads of one tree, then answer one request per stdin line: a workload
+    name runs one timed pass of it, `digest` returns every workload's output digest."""
+    reply, sys.stdout = sys.stdout, sys.stderr      # keep the workloads' output off the channel
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import workloads as bench
 
-    out = {"checks_us": {}, "pass_ms": {}, "digest": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        for name in WORKLOADS:
-            work = bench.WORKLOADS[name](SEED, Path(tmp) / name)
+        works = {name: bench.WORKLOADS[name](SEED, Path(tmp) / name) for name in WORKLOADS}
+        for work in works.values():
             work.run_pass()
-            if name == "consistency":
-                skip = {suite: len(lat) for suite, lat in work.latency_ns.items()}
-            times = []
-            for _ in range(passes):
+        for line in sys.stdin:
+            name = line.strip()
+            if name == "digest":
+                out = {name: work.digest() for name, work in works.items()}
+            else:
+                work = works[name]
                 gc.collect()
-                t0 = time.perf_counter()
+                w0, c0 = time.perf_counter(), time.process_time()
                 work.run_pass()
-                times.append(time.perf_counter() - t0)
-            out["pass_ms"][name] = 1e3 * statistics.median(times)
-            out["digest"][name] = work.digest()
-            if name == "consistency":
-                for suite in SUITES:
-                    out["checks_us"][suite] = 1e-3 * statistics.median(work.latency_ns[suite][skip[suite]:])
-    return out
+                c1, w1 = time.process_time(), time.perf_counter()
+                out = {f"{name} ms/pass wall": 1e3 * (w1 - w0), f"{name} ms/pass cpu": 1e3 * (c1 - c0)}
+                if name == "consistency":
+                    for suite in SUITES:
+                        out[f"{suite} us/check"] = 1e-3 * statistics.median(work.latency_ns[suite])
+                        work.latency_ns[suite].clear()
+            print(json.dumps(out), file=reply, flush=True)
+
+
+class Interpreter:
+    """One serving interpreter of a tree."""
+
+    def __init__(self, tree: Path):
+        self.tree = tree
+        self.proc = subprocess.Popen([sys.executable, __file__, "--child", str(tree)],
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    def ask(self, request: str) -> dict:
+        try:
+            self.proc.stdin.write(request + "\n")
+            self.proc.stdin.flush()
+        except BrokenPipeError:
+            pass                                        # the interpreter is gone; its exit is reported below
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"measuring {self.tree} failed (exit {self.proc.wait()})")
+        return json.loads(line)
+
+    def close(self) -> None:
+        try:
+            self.proc.stdin.close()
+        except BrokenPipeError:
+            pass
+        self.proc.wait()
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -75,49 +107,58 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def report(trees: list[Path], runs: list[list[dict]]) -> list[str]:
-    lines = [f"A = {trees[0]}", f"B = {trees[1]}", f"rounds: {len(runs[0])}", ""]
-    header = f"{'figure':<28}{'A median [q1-q3]':>30}{'B median [q1-q3]':>30}{'B vs A':>9}{'A wins':>8}{'B wins':>8}"
-    lines.append(header)
-    for kind, unit in (("checks_us", "us/check"), ("pass_ms", "ms/pass")):
-        for name in runs[0][0][kind]:
-            a = [r[kind][name] for r in runs[0]]
-            b = [r[kind][name] for r in runs[1]]
-            qa, qb = quartiles(a), quartiles(b)
-            b_wins = sum(y < x for x, y in zip(a, b))
-            lines.append(f"{name + ' ' + unit:<28}"
-                         f"{qa[1]:>12.2f} [{qa[0]:.2f}-{qa[2]:.2f}]".rjust(30)
-                         + f"{qb[1]:>12.2f} [{qb[0]:.2f}-{qb[2]:.2f}]".rjust(30)
-                         + f"{100.0 * (qb[1] / qa[1] - 1.0):>+8.1f}%"
-                         + f"{len(a) - b_wins:>8d}{b_wins:>8d}")
+def report(trees: list[Path], pairs: dict[str, list[tuple[float, float]]], rounds: int) -> list[str]:
+    count = len(next(iter(pairs.values())))
+    lines = [f"A = {trees[0]}", f"B = {trees[1]}", f"rounds: {rounds}, pairs per figure: {count}", ""]
+    lines.append(f"{'figure':<32}{'A median [q1-q3]':>30}{'B median [q1-q3]':>30}{'B/A pairs':>10}"
+                 f"{'A wins':>8}{'B wins':>8}")
+    for name, ab in pairs.items():
+        a, b = [x for x, _ in ab], [y for _, y in ab]
+        qa, qb = quartiles(a), quartiles(b)
+        ratio = statistics.median(y / x for x, y in ab)
+        b_wins = sum(y < x for x, y in ab)
+        lines.append(f"{name:<32}"
+                     + f"{qa[1]:>12.2f} [{qa[0]:.2f}-{qa[2]:.2f}]".rjust(30)
+                     + f"{qb[1]:>12.2f} [{qb[0]:.2f}-{qb[2]:.2f}]".rjust(30)
+                     + f"{100.0 * (ratio - 1.0):>+9.1f}%"
+                     + f"{len(ab) - b_wins:>8d}{b_wins:>8d}")
     return lines
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("trees", nargs="*", type=Path, help="TREE_A TREE_B")
-    p.add_argument("--rounds", type=int, default=10)
-    p.add_argument("--passes", type=int, default=5, help="timed passes per workload and interpreter")
+    p.add_argument("--rounds", type=int, default=10, help="interpreter pairs, started one after the other")
+    p.add_argument("--passes", type=int, default=5, help="timed pass pairs per workload and round")
     p.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.child is not None:
-        print(json.dumps(measure(args.child.resolve(), args.passes)))
+        serve(args.child.resolve())
         return 0
     if len(args.trees) != 2:
         p.error("give two source trees")
     trees = [t.resolve() for t in args.trees]
-    runs: list[list[dict]] = [[], []]
+    pairs: dict[str, list[tuple[float, float]]] = {}
+    digests = None
     for r in range(args.rounds):
-        for side in (0, 1) if r % 2 == 0 else (1, 0):
-            proc = subprocess.run([sys.executable, __file__, "--child", str(trees[side]),
-                                   "--passes", str(args.passes)], capture_output=True, text=True)
-            if proc.returncode != 0:
-                sys.stderr.write(proc.stderr)
-                print(f"measuring {trees[side]} failed (exit {proc.returncode})", file=sys.stderr)
-                return 1
-            runs[side].append(json.loads(proc.stdout.strip().splitlines()[-1]))
-    print("\n".join(report(trees, runs)))
-    differ = [name for name in WORKLOADS if runs[0][0]["digest"][name] != runs[1][0]["digest"][name]]
+        sides = [Interpreter(tree) for tree in trees]
+        try:
+            for name in WORKLOADS:
+                for k in range(args.passes):
+                    got = [None, None]
+                    for side in (0, 1) if (r * args.passes + k) % 2 == 0 else (1, 0):
+                        got[side] = sides[side].ask(name)
+                    for figure in got[0]:
+                        pairs.setdefault(figure, []).append((got[0][figure], got[1][figure]))
+            digests = digests or [side.ask("digest") for side in sides]
+        except RuntimeError as exc:
+            print(exc, file=sys.stderr)
+            return 1
+        finally:
+            for side in sides:
+                side.close()
+    print("\n".join(report(trees, pairs, args.rounds)))
+    differ = [name for name in WORKLOADS if digests[0][name] != digests[1][name]]
     if differ:
         print(f"outputs differ between the trees: {', '.join(differ)}")
         return 2

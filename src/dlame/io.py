@@ -3,12 +3,14 @@
 Values are written with 17 significant digits (JSON: the shortest repr) so a
 round trip through text reproduces the doubles bit for bit; re-running the
 same configuration yields byte-identical files.  Each writer formats its whole
-body in one pass: one `%`-format of a row template repeated over every row.
+body in one pass: one `%`-format of a row template repeated over every row,
+with each lattice coordinate formatted once per axis and spliced in as a string.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,20 +76,35 @@ def _format_rows(row: str, table: np.ndarray) -> str:
     return row * len(table) % tuple(table.ravel().tolist())
 
 
+def _names(x: np.ndarray) -> list[str]:
+    return [f"xi{k + 1}" for k in range(x.ndim - 1)] + [f"x{k + 1}" for k in range(x.shape[-1])]
+
+
 def field_rows(x: np.ndarray, eps) -> tuple[list[str], np.ndarray]:
     """Lexicographically ordered rows (xi..., x...) of a point field, as one
     (sites, k + N) array for a field over k grid axes."""
     grid_axes = x.ndim - 1
-    names = [f"xi{k + 1}" for k in range(grid_axes)] + [f"x{k + 1}" for k in range(x.shape[-1])]
     coords = np.indices(x.shape[:-1]).reshape(grid_axes, -1).T * np.asarray(eps, dtype=float)[:grid_axes]
-    return names, np.concatenate([coords, x.reshape(-1, x.shape[-1])], axis=1)
+    return _names(x), np.concatenate([coords, x.reshape(-1, x.shape[-1])], axis=1)
+
+
+def _field_table(x: np.ndarray, eps, fmt: str) -> np.ndarray:
+    """The rows of `field_rows` as an object table for `_format_rows`.  A grid axis has
+    few distinct coordinates, so each is formatted once with `fmt` and its cells hold
+    the string (template slot %s); the point coordinates stay floats."""
+    k = x.ndim - 1
+    idx = np.indices(x.shape[:-1]).reshape(k, -1)
+    table = np.empty((idx.shape[1], k + x.shape[-1]), dtype=object)
+    table[:, k:] = x.reshape(-1, x.shape[-1])
+    for a, e in enumerate(np.broadcast_to(np.asarray(eps, dtype=float)[:k], (k,))):
+        table[:, a] = np.array([fmt % v for v in (np.arange(x.shape[a]) * e).tolist()], dtype=object)[idx[a]]
+    return table
 
 
 def write_csv(path, x: np.ndarray, eps) -> None:
-    names, rows = field_rows(x, eps)
-    body = _format_rows(",".join([FMT] * rows.shape[1]) + "\n", rows)
+    body = _format_rows(",".join(["%s"] * (x.ndim - 1) + [FMT] * x.shape[-1]) + "\n", _field_table(x, eps, FMT))
     with open(path, "w", newline="") as f:
-        f.write(",".join(names) + "\n" + body)
+        f.write(",".join(_names(x)) + "\n" + body)
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
@@ -104,20 +121,19 @@ def write_json(path, x: np.ndarray, eps, config: dict) -> None:
     last, is formatted with `%r` and spliced in; non-finite values are then
     respelled NaN, Infinity and -Infinity as `json` writes them.
     """
-    names, rows = field_rows(x, eps)
     head = json.dumps({
         "meta": {
             "version": __version__,
             "eps": list(map(float, eps)),
             "config": {k: config[k] for k in sorted(config)},
         },
-        "columns": names,
+        "columns": _names(x),
     }, indent=1, sort_keys=True)
     body = "[]"
-    if len(rows):
-        row = "  [\n" + ",\n".join(["   %r"] * rows.shape[1]) + "\n  ],\n"
-        body = "[\n" + _format_rows(row, rows)[:-2] + "\n ]"
-        if not np.isfinite(rows).all():
+    if math.prod(x.shape[:-1]):
+        row = "  [\n" + ",\n".join(["   %s"] * (x.ndim - 1) + ["   %r"] * x.shape[-1]) + "\n  ],\n"
+        body = "[\n" + _format_rows(row, _field_table(x, eps, "%r"))[:-2] + "\n ]"
+        if "n" in body:  # the repr of a finite float has no n, those of nan and inf do
             body = body.replace("nan", "NaN").replace("inf", "Infinity")
     with open(path, "w") as f:
         f.write(head[:-2] + ',\n "rows": ' + body + "\n}\n")

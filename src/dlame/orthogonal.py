@@ -24,7 +24,9 @@ shape (..., N+2, N+2).  The frame step above becomes
     L(tau_i psi) = L(psi) R_{e_{d_i}} R_{Sigma_i},   R_u v = 2<u, v> u - v,
     Sigma_i = N_i e_{d_i} + (eps_i/2) sum_k beta_{ki} e_k - eps_i h_i einf,
 
-and points are read off as the Euclidean drop of L e0.  Higher-dimensional
+and points are read off as the Euclidean drop of L e0.  The frame never feeds
+back into h, beta and the splitting, so a surface solve fills those with the
+Goursat driver and transports the frame afterwards.  Higher-dimensional
 orthogonal systems are assembled from their coordinate surfaces and propagated
 as conjugate nets; concircularity of the bulk is then a theorem, not an
 imposed equation, and is verified a posteriori.
@@ -48,6 +50,7 @@ from .curves import SmoothCurve
 from .errors import (
     DegenerateBasis,
     DegenerateCircle,
+    DomainViolation,
     FrameDrift,
     ImmersionFailure,
     OutsideDomain,
@@ -148,6 +151,15 @@ def _step_factor(alg: Algebra, d, eps, h, beta: np.ndarray, n_fac) -> np.ndarray
     _, _, r_e, diag = _slots(alg.dim)
     slot = d - 1
     return 2.0 * (r_e[slot] * sig)[..., :, None] * (alg._metric * sig)[..., None, :] - diag[slot]
+
+
+def _transport(alg: Algebra, frames: np.ndarray, d: int, eps: float, h: np.ndarray, beta: np.ndarray) -> None:
+    """Fill frames[s + 1] = frames[s] F_s from the start frames[0], F_s the step in the
+    Clifford direction d with coefficients h[s], beta[s]; further batch axes are lines
+    transported side by side.  Raises SqrtDomain where N_d^2 <= 0, before any write."""
+    step = _step_factor(alg, d, eps, h, beta, normal_factor(eps, beta, d - 1))
+    for s in range(len(step)):
+        frames[s + 1] = frames[s] @ step[s]
 
 
 class FrameSurfaceSystem(HyperbolicSystem):
@@ -421,13 +433,9 @@ def canonical_discretization(
         if curve is None:
             raise ValueError("either a curve or pre-sampled data is required")
         data = read_off_curve(alg, curve, psi0, direction, t, substep=eps / 4.0)
-    beta = data.beta[: npts - 1]
-    n_fac = normal_factor(eps, beta, direction - 1)
-    step = _step_factor(alg, direction, eps, data.h[: npts - 1], beta, n_fac)
-    frames = np.zeros((npts, alg.dim, alg.dim))
+    frames = np.empty((npts, alg.dim, alg.dim))
     frames[0] = psi0
-    for s in range(npts - 1):
-        frames[s + 1] = frames[s] @ step[s]
+    _transport(alg, frames, direction, eps, data.h[: npts - 1], data.beta[: npts - 1])
     return DiscreteCurve(eps, frame_points(alg, frames), frames, data)
 
 
@@ -461,25 +469,59 @@ class CSurfaceResult:
     x: np.ndarray           # (n1, n2, N)
 
 
-def csurface_solve(data: CSurfaceData, request=None) -> CSurfaceResult:
+def csurface_solve(data: CSurfaceData) -> CSurfaceResult:
     """Solve the two-dimensional frame system from axis data and a splitting field.
 
-    Transform solves (alpha splitting) only request the frame field: values on
-    the transform layer that would describe a second, unspecified transform are
-    left nan instead of being propagated from placeholder data.
+    The metric and rotation coefficients h, beta form a closed system, which
+    the Goursat driver fills level by level; the frame never feeds back into
+    it and is transported afterwards, along the first row in the second
+    direction and then along every column in the first one.  A transform
+    solve (alpha splitting) computes only the h1, b1 that frame steps read:
+    values on the transform layer that would describe a second, unspecified
+    transform are left nan instead of being propagated from placeholder data.
+
+    A failed domain gate is reported as the level-by-level solve of frame,
+    h and beta together reports it: the first failing (site, direction) in
+    fill order.
     """
     alg = data.alg
     tail = 1 if data.splitting == "alpha" else 0
     if data.splitting == "gamma" and abs(data.eps[0] - data.eps[1]) > 1e-15:
         raise ValueError("the surface splitting assumes equal mesh sizes")
-    if request is None and data.splitting == "alpha":
-        request = ("psi",)
     mesh = MeshSpec(eps=data.eps, npts=data.npts, tail=tail)
     system = FrameSurfaceSystem(alg, dirs=data.dirs, splitting=data.splitting)
-    fields = goursat_solve(system, mesh, {"psi": data.psi0, **{name: getattr(data, name) for name in
-                                                              ("h1", "b1", "h2", "b2", "split")}}, request=request)
-    x = frame_points(alg, fields["psi"].values)
-    return CSurfaceResult(alg, mesh, data.dirs, data.splitting, fields, x)
+    goursat = {"psi": data.psi0, **{name: getattr(data, name) for name in ("h1", "b1", "h2", "b2", "split")}}
+    (d1, d2), (e1, e2) = data.dirs, data.eps
+    try:
+        fields = _coefficients(system, mesh, goursat)
+        psi, h1, b1, h2, b2 = (fields[name].values for name in ("psi", "h1", "b1", "h2", "b2"))
+        _transport(alg, psi[0], d2, e2, h2[0, :-1], b2[0, :-1])
+        _transport(alg, psi, d1, e1, h1[:-1], b1[:-1])
+    except (DomainViolation, SqrtDomain):
+        pass
+    else:
+        return CSurfaceResult(alg, mesh, data.dirs, data.splitting, fields, frame_points(alg, psi))
+    # the solve stepping the frame with h and beta checks the same gates, the frame's N_a^2 > 0 in
+    # the rows that own it, in fill order: it raises the first failure
+    goursat_solve(system, mesh, goursat, request=("psi",) if data.splitting == "alpha" else None)
+    raise AssertionError("the level-by-level solve passed a gate that failed")
+
+
+def _coefficients(system: FrameSurfaceSystem, mesh: MeshSpec, data) -> dict[str, LatticeField]:
+    """Fields of a frame solve with h and beta filled where the frame steps read them, psi
+    holding its Goursat datum only.  The surface splitting fills h1, h2, b1, b2 on the
+    whole box.  The transform splitting fills h1, b1 (and the h2, b2 they read) on the
+    box minus its last base row, and keeps only its Goursat data on the rest."""
+    if system.splitting == "gamma":
+        return goursat_solve(system, mesh, data, request=("h1", "h2", "b1", "b2"))
+    fields, n = goursat_solve(system, mesh, data, request=()), mesh.npts[0] - 1
+    if n:
+        part = goursat_solve(system, MeshSpec(mesh.eps, (n,) + mesh.npts[1:], mesh.tail),
+                             {name: v[:n] if 0 in system.component(name).static else v
+                              for name, v in data.items()}, request=("h1", "b1"))
+        for name in ("h1", "b1", "h2", "b2"):
+            fields[name].values[:n] = part[name].values
+    return fields
 
 
 def frame_points(alg: Algebra, psi_values: np.ndarray) -> np.ndarray:

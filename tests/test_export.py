@@ -73,6 +73,24 @@ def test_json_matches_reference_bytewise(field, tmp_path):
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
+
+@pytest.mark.parametrize("shape,eps", [
+    # three axes of different lengths whose coordinates i * eps read with round-off digits
+    ((4, 7, 5, 3), (0.1, 1 / 3, np.pi / 160)),
+    # a planar field holding nan and inf, eps as an array
+    ((9, 6, 2), np.array([0.3, 0.7])),
+], ids=["three-axes", "non-finite"])
+def test_coordinates_formatted_once_per_axis_match_reference(tmp_path, shape, eps):
+    x = np.random.default_rng(11).normal(scale=10.0, size=shape)
+    if x.ndim == 3:
+        x[2, 3, 0], x[5, 0, 1], x[8, 5, 0] = np.nan, np.inf, -np.inf
+    write_csv(tmp_path / "new.csv", x, eps)
+    reference_write_csv(tmp_path / "ref.csv", x, eps)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    write_json(tmp_path / "new.json", x, eps, CONFIG)
+    reference_write_json(tmp_path / "ref.json", x, eps, CONFIG)
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
 def test_json_spells_non_finite_values_as_json_does(tmp_path):
     x, eps = FIELDS["special_values"]()
     write_json(tmp_path / "x.json", x, eps, CONFIG)

@@ -219,13 +219,14 @@ class TestAgainstReferenceDriver:
         # bulk solve and the per-axis alpha-splitting transform solves
         spec, seed = _spherical_pair_inputs()
         ribaucour_pair_3d(spec, {i: (lambda t: -1.0) for i in (1, 2, 3)}, seed)
-        assert None in differential and ("x",) in differential and ("psi",) in differential
+        assert None in differential and ("x",) in differential and ("h1", "b1") in differential
 
     def test_frame_surface_gamma_and_alpha(self, differential):
         csurface_solve(csurface_data_from_oracle(EllipticOracle(), np.pi / 40, 4 * np.pi / 10))
         ribaucour_solve(algebra(2), warped_circle_curve(1.0, 0.3), lambda t: -1.0 + 0.3 * np.sin(t),
                         np.array([0.55, 0.0]), np.pi / 40, 0.5)
-        assert differential == [None, ("psi",)]
+        # h and beta alone; a transform solve fills its Goursat data, then h1, b1 short of the last base row
+        assert differential == [("h1", "h2", "b1", "b2"), (), ("h1", "b1")]
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_two_groups_failing_at_one_site(self, batched):
@@ -296,13 +297,13 @@ class TestFusedLevels:
         assert sum(calls) == 3 * 16 ** 3 + 3 * 2 * 16 ** 2 + 3 * 16
 
     def test_ribaucour_psi_request(self, differential):
-        # the fused levels of a transform solve mix rows that own psi alone with rows that own h1, b1
+        # a transform solve steps h1, b1 on the box minus its last base row, and transports the frame after
         alg, curve, seed, eps, r = algebra(2), warped_circle_curve(1.0, 0.3), np.array([0.55, 0.0]), np.pi / 40, 0.5
         alpha = lambda t: -1.0 + 0.3 * np.sin(t)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = ribaucour_solve(alg, curve, alpha, seed, eps, r)
-        assert differential == [("psi",)]
+        assert differential == [(), ("h1", "b1")]
         # the last base site leaves N_1^2 > 0: the row stepping it in 0 owns psi alone, the one
         # stepping it in 1 owns h1 and b1
         psi0 = res.result.fields["psi"].values[0, 0]

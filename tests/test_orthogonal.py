@@ -16,7 +16,7 @@ from dlame.errors import (
     OutsideDomain,
     SqrtDomain,
 )
-from dlame.lattice import consistency_residual
+from dlame.lattice import MeshSpec, consistency_residual, mesh_points
 from dlame.oracles import EllipticOracle, SphericalOracle, csurface_data_from_oracle
 from dlame.orthogonal import (
     CSurfaceData,
@@ -42,7 +42,9 @@ from dlame.orthogonal import (
 )
 
 from conftest import random_surface_state
+import frame_reference
 from goursat_reference import per_row, plan_rows, record_systems
+from test_goursat_plan import _spherical_pair_inputs
 
 ALG2 = algebra(2)
 ALG3 = algebra(3)
@@ -140,7 +142,9 @@ class TestBatchedFrameSolve:
         systems = record_systems(monkeypatch, orthogonal, "FrameSurfaceSystem", PerSiteFrameSystem)
         res = csurface_solve(data)
         _same_fields(batched, res.fields)
-        assert [s.calls for s in systems] == [plan_rows(systems[0], res.mesh)] and systems[0].calls > 0
+        # the frame is transported after the solve, which steps h and beta alone
+        assert [s.calls for s in systems] == [plan_rows(systems[0], res.mesh, ("h1", "h2", "b1", "b2"))]
+        assert systems[0].calls > 0
 
     def test_alpha_transform_matches_per_site_solve(self, monkeypatch):
         def solve():
@@ -151,7 +155,9 @@ class TestBatchedFrameSolve:
         systems = record_systems(monkeypatch, orthogonal, "FrameSurfaceSystem", PerSiteFrameSystem)
         res = solve()
         _same_fields(batched, res.fields)
-        assert [s.calls for s in systems] == [plan_rows(systems[0], res.mesh, ("psi",))] and systems[0].calls > 0
+        # h1 and b1 on the box minus its last base row; the frame is transported after the solve
+        part = MeshSpec(res.mesh.eps, (res.mesh.npts[0] - 1, 2), tail=1)
+        assert [s.calls for s in systems] == [plan_rows(systems[0], part, ("h1", "b1"))] and systems[0].calls > 0
 
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from(["gamma", "alpha"]),
@@ -183,6 +189,121 @@ class TestBatchedFrameSolve:
         with pytest.raises(SqrtDomain) as err:
             system.step(0, {k: v[2:] for k, v in stacked.items()}, (0.1, 1.0))
         assert err.value.row == 1
+
+
+def _elliptic_surface(eps):
+    return lambda: orthogonal.csurface_solve(csurface_data_from_oracle(EllipticOracle(), eps, 4 * np.pi / 10))
+
+
+def _ribaucour_curve_pair():
+    return ribaucour_solve(ALG2, warped_circle_curve(1.0, 0.3), lambda t: -1.0 + 0.3 * np.sin(t),
+                           np.array([0.55, 0.0]), np.pi / 40, 0.5)
+
+
+def _ribaucour_pair_3d():
+    spec, seed = _spherical_pair_inputs()
+    return ribaucour_pair_3d(spec, {i: (lambda t: -1.0) for i in (1, 2, 3)}, seed)
+
+
+class KinkedTransform(FrameSurfaceSystem):
+    """The frame system with the transform-layer b1 stepped from the base site whose alpha is MARK
+    set to 3 / eps_1 in every slot, out of N_1^2 > 0; nothing else reads that value."""
+
+    MARK = -1.25
+
+    def step(self, direction, vals, eps, outputs=None, sources=None):
+        out = super().step(direction, vals, eps, outputs=outputs, sources=sources)
+        if "b1" in out:
+            hit = (np.asarray(direction) == 1) & (np.asarray(vals["split"]) == self.MARK)
+            out["b1"] = np.where(hit[..., None], 3.0 / eps[0], out["b1"])
+        return out
+
+
+class TestFrameTransport:
+    """The frame transported after the (h, beta) solve against the fused level-by-level solve
+    (frame_reference.py): bitwise fields and nan patterns, the same DomainViolation, and no
+    step call that owns psi."""
+
+    @pytest.mark.parametrize("run,splittings", [
+        (_elliptic_surface(np.pi / 20), ["gamma"]),
+        (_elliptic_surface(np.pi / 160), ["gamma"]),
+        (lambda: orthosys_assemble(SphericalOracle().surface_spec(0.025, 0.4)), ["gamma"] * 3),
+        (_ribaucour_curve_pair, ["alpha"]),
+        # the three coordinate surfaces, then the three curve/transform pair solves
+        (_ribaucour_pair_3d, ["gamma"] * 3 + ["alpha"] * 3),
+    ], ids=["elliptic-pi/20", "elliptic-pi/160", "spherical-0.025", "ribaucour-pi/40", "pair-3d"])
+    def test_fields_match_fused_solve(self, monkeypatch, run, splittings):
+        solves, inner = [], orthogonal.csurface_solve
+
+        def checked(data):
+            res, ref = inner(data), frame_reference.csurface_solve(data)
+            assert list(res.fields) == list(ref.fields) == ["psi", "h1", "h2", "b1", "b2", "split"]
+            for name, field in ref.fields.items():
+                assert res.fields[name].values.shape == field.values.shape
+                assert res.fields[name].values.tobytes() == field.values.tobytes(), name
+            assert res.x.tobytes() == ref.x.tobytes()
+            assert res.mesh == ref.mesh
+            solves.append(data.splitting)
+            return res
+
+        monkeypatch.setattr(orthogonal, "csurface_solve", checked)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run()
+        assert solves == splittings
+
+    def test_no_step_call_owns_psi(self, monkeypatch):
+        owned, inner = [], FrameSurfaceSystem.step
+
+        def step(self, direction, vals, eps, outputs=None, sources=None):
+            owned.append(set(outputs))
+            return inner(self, direction, vals, eps, outputs=outputs, sources=sources)
+
+        monkeypatch.setattr(FrameSurfaceSystem, "step", step)
+        _elliptic_surface(np.pi / 40)()
+        _ribaucour_curve_pair()
+        assert owned and not any("psi" in outputs for outputs in owned)
+
+    @staticmethod
+    def _violations(run):
+        """(site, direction, cause type, cause message) of run() through csurface_solve and the reference."""
+        out = []
+        for solve in (orthogonal.csurface_solve, frame_reference.csurface_solve):
+            with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                mp.setattr(orthogonal, "csurface_solve", solve)
+                with pytest.raises(DomainViolation) as err:
+                    run()
+            e = err.value
+            out.append((e.site, e.direction, type(e.cause), str(e.cause)))
+        return out
+
+    def test_violation_on_the_last_base_row(self):
+        # b1 at the last-but-one base site leaves N_1^2 > 0: the (h, beta) solve fails first
+        alg, curve, seed, eps, r = ALG2, warped_circle_curve(1.0, 0.3), np.array([0.55, 0.0]), np.pi / 40, 0.5
+        psi0 = _ribaucour_curve_pair().result.fields["psi"].values[0, 0]
+        axis = read_off_curve(alg, curve, psi0, 1, np.arange(mesh_points(r, eps)) * eps, substep=eps / 4.0)
+        axis.beta[-2, 1] = 3.0 / eps
+        new, ref = self._violations(lambda: ribaucour_solve(alg, curve, lambda t: -1.0 + 0.3 * np.sin(t), seed,
+                                                            eps, r, psi0=psi0, axis=axis))
+        assert new == ref and ref[2] is SqrtDomain
+
+    def test_violation_on_the_transform_layer(self, monkeypatch):
+        # the (h, beta) solve passes; the frame step from (3 eps, 1) fails N_1^2 > 0 on the transform layer
+        monkeypatch.setattr(orthogonal, "FrameSurfaceSystem", KinkedTransform)
+        eps = np.pi / 40
+        alpha = lambda t: KinkedTransform.MARK if abs(t - 3 * eps) < 1e-12 else -1.0
+        run = lambda: ribaucour_solve(ALG2, warped_circle_curve(1.0, 0.3), alpha, np.array([0.55, 0.0]), eps, 0.5)
+        new, ref = self._violations(run)
+        assert new == ref and ref[:3] == ((3 * eps, 1.0), 0, SqrtDomain)
+
+    def test_violation_in_the_surface_splitting(self):
+        eps = np.pi / 40
+        data = csurface_data_from_oracle(EllipticOracle(), eps, 4 * np.pi / 10)
+        data.b2 = data.b2.copy()
+        data.b2[4, 0] = 3.0 / eps
+        new, ref = self._violations(lambda: orthogonal.csurface_solve(data))
+        assert new == ref and ref[:3] == ((0.0, 4 * eps), 1, SqrtDomain)
 
 
 def _direction_tables(alg, d):
