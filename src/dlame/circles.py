@@ -35,10 +35,7 @@ def circularity_residual(points: np.ndarray) -> float:
         for j in range(i + 1, 4):
             if np.linalg.norm(pts[i] - pts[j]) < 1e-14 * scale:
                 raise CoincidentPoints("points must be pairwise distinct")
-    alg = algebra(pts.shape[1])
-    lifts = alg.lift_point(pts)
-    lifts = lifts / np.linalg.norm(lifts, axis=1, keepdims=True)
-    return float(np.linalg.svd(lifts, compute_uv=False)[-1])
+    return float(circularity_residual_batch(pts))
 
 
 def circularity_residual_batch(quads: np.ndarray) -> np.ndarray:

@@ -39,6 +39,17 @@ def parse_eps(text: str) -> float:
     return value
 
 
+def _number(text: str, what: str) -> float:
+    """A finite float literal; ConfigError, naming `what`, for anything else."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"malformed {what} {text!r}") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {text!r}")
+    return value
+
+
 def parse_eps_list(text: str) -> list[float]:
     eps = [parse_eps(tok) for tok in text.split(",") if tok.strip()]
     if len(eps) < 3:
@@ -63,20 +74,24 @@ def make_curve(spec: str):
     kind, _, arg = spec.partition(":")
     if kind == "line":
         return line_curve(np.zeros(2), np.array([1.0, 0.0]))
-    if kind == "circle":
-        return circle_curve(float(arg) if arg else 1.0)
-    if kind == "warped":
-        return warped_circle_curve(float(arg) if arg else 1.0, 0.3)
+    if kind in ("circle", "warped"):
+        radius = _number(arg, "curve radius") if arg else 1.0
+        if not radius > 0:
+            raise ConfigError(f"curve radius must be positive, got {arg!r}")
+        return circle_curve(radius) if kind == "circle" else warped_circle_curve(radius, 0.3)
     raise ConfigError(f"unknown curve {spec!r}")
 
 
 def make_alpha(spec: str):
     kind, _, arg = spec.partition(":")
     if kind == "const":
-        v = float(arg) if arg else -1.0
+        v = _number(arg, "alpha constant") if arg else -1.0
         return lambda t: v
     if kind == "sinmod":
-        base, amp = (float(x) for x in arg.split(","))
+        terms = arg.split(",")
+        if len(terms) != 2:
+            raise ConfigError(f"sinmod needs two numbers 'base,amplitude', got {arg!r}")
+        base, amp = (_number(x, "sinmod coefficient") for x in terms)
         return lambda t: base + amp * np.sin(t)
     raise ConfigError(f"unknown alpha function {spec!r}")
 
@@ -193,10 +208,7 @@ def run(args) -> int:
         eps = parse_eps(args.eps)
         curve = make_curve(args.curve)
         alpha = make_alpha(args.alpha)
-        try:
-            seed = np.array([float(v) for v in args.seed.split(",")])
-        except ValueError as exc:
-            raise ConfigError(f"malformed seed {args.seed!r}") from exc
+        seed = np.array([_number(v, "seed coordinate") for v in args.seed.split(",")])
         if len(seed) != curve.dim:
             raise ConfigError("seed dimension does not match the curve")
         res = ribaucour_solve(algebra(curve.dim), curve, alpha, seed, eps, args.r)

@@ -127,12 +127,11 @@ class Algebra:
     def reverse(self, mv: np.ndarray) -> np.ndarray:
         return mv * self._rev
 
-    def parity(self, mv: np.ndarray, tol: float = None) -> str:
+    def parity(self, mv: np.ndarray) -> str:
         """'even', 'odd' or 'mixed' according to the grade support of mv."""
-        tol = TOL.algebra if tol is None else tol
-        scale = np.max(np.abs(mv)) or 1.0
-        even = np.max(np.abs(mv[..., self._grades % 2 == 1])) <= tol * scale
-        odd = np.max(np.abs(mv[..., self._grades % 2 == 0])) <= tol * scale
+        bound = TOL.algebra * (np.max(np.abs(mv)) or 1.0)
+        even = np.max(np.abs(mv[..., self._grades % 2 == 1])) <= bound
+        odd = np.max(np.abs(mv[..., self._grades % 2 == 0])) <= bound
         if even and not odd:
             return "even"
         if odd and not even:

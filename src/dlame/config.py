@@ -1,9 +1,8 @@
-"""Tolerance knobs, overridable through LAME_* environment variables."""
+"""Tolerance constants of the solvers and their domain gates."""
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -22,13 +21,4 @@ class Tolerances:
     infinity: float = 1e-12
 
 
-def _from_env() -> Tolerances:
-    kwargs = {}
-    for f in fields(Tolerances):
-        raw = os.environ.get("LAME_TOL_" + f.name.upper())
-        if raw is not None:
-            kwargs[f.name] = float(raw)
-    return Tolerances(**kwargs)
-
-
-TOL = _from_env()
+TOL = Tolerances()

@@ -150,13 +150,16 @@ def _implicit_blocks(c: np.ndarray, e: np.ndarray, plan: _BlockPlan, blocks, rea
     A[:, _ENTRIES] = entries
     A = A.reshape(-1, 6, 6)
     F = cak * ckb + cka * cab - ckb * cab
-    # no row vanishes: a row with c_ab = 0 has diagonal 1, one with c_ab != 0 the entry -eps_b c_ab
-    ratio = np.abs(np.linalg.det(A)) / np.sqrt(np.einsum("...ij,...ij->...i", A, A)).prod(axis=-1)
-    bad = ratio < TOL.degeneracy
+    # no row vanishes: a row with c_ab = 0 has diagonal 1, one with c_ab != 0 the entry -eps_b c_ab;
+    # a nan entry gives a nan ratio, which fails the gate: the gate reports it, not a det warning
+    with np.errstate(invalid="ignore"):
+        det = np.linalg.det(A)
+    ratio = np.abs(det) / np.sqrt(np.einsum("...ij,...ij->...i", A, A)).prod(axis=-1)
+    bad = ~(ratio >= TOL.degeneracy)
     if nfac:  # each block tests the factors of its own triple
         cmax = np.max(np.abs(g[:, 24:]), axis=-1)
         fac = (1.0 + cf[rows, plan.tail_i]) * (1.0 + cf[rows, plan.tail_j])
-        tail_bad = (np.abs(fac) < TOL.degeneracy * (1.0 + cmax[:, None]) ** 2) & (plan.tail_trip == at[:, None])
+        tail_bad = ~(np.abs(fac) >= TOL.degeneracy * (1.0 + cmax[:, None]) ** 2) & (plan.tail_trip == at[:, None])
         bad = bad | tail_bad.any(axis=-1)
     if not bad.any():
         return A, F, []
@@ -171,7 +174,7 @@ def _implicit_blocks(c: np.ndarray, e: np.ndarray, plan: _BlockPlan, blocks, rea
         tail_bad = slots[reads[..., plan.tail_trip], np.arange(nfac)]
         checks.append((tail_bad.any(axis=-1), lambda row: DegenerateHexahedron(
             plan.tail_msg[int(np.argmax(tail_bad.reshape(-1, nfac)[row]))])))
-    checks.append(((ratio < TOL.degeneracy).any(axis=-1), lambda row: DegenerateHexahedron(
+    checks.append((~(ratio >= TOL.degeneracy).all(axis=-1), lambda row: DegenerateHexahedron(
         f"implicit block for triple "
         f"{plan.triples[int(np.argmin(ratio.reshape(-1, ntrip)[row]))]} is singular")))
     return A, F, checks
@@ -200,9 +203,9 @@ def dcn_step_c(c: np.ndarray, eps, triple=None, tail_dirs=(), blocks=None, reads
 
     Raises DegenerateHexahedron, carrying the first offending row (batch
     entry without `blocks`), when the Hadamard ratio |det A| / prod_r |A_r|
-    of a block it reads falls below tolerance (naming its most singular
-    block), or when a tail-direction block has a vanishing factor
-    1 + c_{Mi}; a row is tested on every tail factor first.
+    of a block it reads falls below tolerance or is nan (naming its most
+    singular block), or when a tail-direction block has a vanishing or nan
+    factor 1 + c_{Mi}; a row is tested on every tail factor first.
     """
     c, e = np.asarray(c, dtype=float), np.asarray(eps, dtype=float)
     if not (triple is None or isinstance(triple, tuple)):
@@ -371,7 +374,7 @@ class ConjugateSystem(HyperbolicSystem):
                 for name, *at in ret}
 
 
-def shift_state(state: CornerState, direction, eps, tail_dirs=()) -> CornerState:
+def shift_state(state: CornerState, direction, eps) -> CornerState:
     """Advance a corner state by one lattice step; entries that would need
     fresh Goursat data become nan.
 
@@ -386,7 +389,7 @@ def shift_state(state: CornerState, direction, eps, tail_dirs=()) -> CornerState
     a = np.asarray(direction)
     known = ~np.isnan(state.c).any(axis=tuple(range(state.c.ndim - 2)))
     triples, members = _shift_triples(state.M, tuple(sorted(set(a.ravel().tolist()))), known.tobytes())
-    return _advance(state, a, eps, triples, tail_dirs, None if members is None else members[a])
+    return _advance(state, a, eps, triples, (), None if members is None else members[a])
 
 
 @functools.lru_cache(maxsize=256)

@@ -41,31 +41,31 @@ class CircleRecord:
     radius: float
 
 
-def _cell_circles(x: np.ndarray, tol_rel: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def _cell_circles(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centers (n1 - 1, n2 - 1, 2) and radii (n1 - 1, n2 - 1), gated as `circle_records` says."""
     if x.ndim != 3 or x.shape[-1] != 2:
         raise NonPlanarExport("circle records need a two-dimensional planar field")
     center, radius, _ = circumcircle(x[:-1, :-1], x[1:, :-1], x[1:, 1:])
     # fails closed: a nan deviation or radius fails the test
-    off = ~(np.abs(np.linalg.norm(x[:-1, 1:] - center, axis=-1) - radius) <= tol_rel * radius)
+    off = ~(np.abs(np.linalg.norm(x[:-1, 1:] - center, axis=-1) - radius) <= 1e-8 * radius)
     if off.any():
         i, j = np.argwhere(off)[0].tolist()
         raise ValueError(f"cell ({i}, {j}) is not concircular")
     return center, radius
 
 
-def circle_records(x: np.ndarray, tol_rel: float = 1e-8):
+def circle_records(x: np.ndarray):
     """Circumcircles of all cells of a 2D point field (n1, n2, 2).
 
     The circle of a cell is determined by its first three vertices; the fourth
-    vertex must sit on it within tol_rel * radius or ValueError is raised,
+    vertex must sit on it within 1e-8 * radius or ValueError is raised,
     naming the first such cell in row-major order (a cell with a non-finite
     vertex fails this test), which makes the record list a circularity
     witness of the whole net.  A cell with collinear vertices raises
     DegenerateEdges first, with `row` its row-major index.  Records are in
     row-major cell order.
     """
-    center, radius = _cell_circles(x, tol_rel)
+    center, radius = _cell_circles(x)
     cells = np.ndindex(radius.shape)
     return [CircleRecord(cell, (cx, cy), r) for cell, (cx, cy), r in
             zip(cells, center.reshape(-1, 2).tolist(), radius.ravel().tolist())]
@@ -139,7 +139,7 @@ def write_json(path, x: np.ndarray, eps, config: dict) -> None:
         f.write(head[:-2] + ',\n "rows": ' + body + "\n}\n")
 
 
-def write_svg(path, x: np.ndarray, eps: float, stroke=None) -> None:
+def write_svg(path, x: np.ndarray, eps: float) -> None:
     """Circle pattern of a planar circular net, one circle per lattice cell.
 
     The net needs at least one cell (ConfigError otherwise) and every cell
@@ -151,7 +151,6 @@ def write_svg(path, x: np.ndarray, eps: float, stroke=None) -> None:
         raise ConfigError(f"SVG output needs at least one lattice cell; the net has "
                           f"{x.shape[0]} x {x.shape[1]} sites")
     center, radius = _cell_circles(x)
-    stroke = eps / 10.0 if stroke is None else stroke
     cx, cy, rr = center[..., 0].ravel(), center[..., 1].ravel(), radius.ravel()
     x0, x1 = float(np.min(cx - rr)), float(np.max(cx + rr))
     y0, y1 = float(np.min(cy - rr)), float(np.max(cy + rr))
@@ -161,7 +160,7 @@ def write_svg(path, x: np.ndarray, eps: float, stroke=None) -> None:
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
         f'viewBox="{FMT % x0} {FMT % y0} {FMT % (x1 - x0)} {FMT % (y1 - y0)}">\n'
-        f'<g fill="none" stroke="black" stroke-width="{FMT % stroke}" '
+        f'<g fill="none" stroke="black" stroke-width="{FMT % (eps / 10.0)}" '
         f'transform="translate(0,{FMT % (y0 + y1)}) scale(1,-1)">\n'
     )
     circles = _format_rows(f'<circle cx="{FMT}" cy="{FMT}" r="{FMT}"/>\n',

@@ -59,14 +59,9 @@ class MeshSpec:
             raise ValueError("every direction needs at least one site")
 
     @classmethod
-    def box(cls, m: int, eps: float, r: float, tail: int = 0) -> "MeshSpec":
-        """Uniform box: m directions of mesh eps on [0, r], plus tail transform layers."""
-        npts = mesh_points(r, eps)
-        return cls(
-            eps=(eps,) * m + (1.0,) * tail,
-            npts=(npts,) * m + (2,) * tail,
-            tail=tail,
-        )
+    def box(cls, m: int, eps: float, r: float) -> "MeshSpec":
+        """Uniform box: m directions of mesh eps on [0, r]."""
+        return cls((eps,) * m, (mesh_points(r, eps),) * m)
 
     @property
     def M(self) -> int:
@@ -82,9 +77,9 @@ class MeshSpec:
     def axis_coords(self, direction: int) -> np.ndarray:
         return np.arange(self.npts[direction]) * self.eps[direction]
 
-    def shrink(self, direction: int, by: int = 1) -> "MeshSpec":
+    def shrink(self, direction: int) -> "MeshSpec":
         npts = list(self.npts)
-        npts[direction] -= by
+        npts[direction] -= 1
         if npts[direction] < 1:
             raise OutOfBounds("mesh exhausted in direction %d" % direction)
         return MeshSpec(self.eps, tuple(npts), self.tail)

@@ -121,7 +121,7 @@ def _outside_admissible_set(row):
 def normal_factor(eps, beta: np.ndarray, skip) -> np.ndarray:
     """N_i = sqrt(1 - eps^2/4 * sum_{k != skip} beta_k^2); raises SqrtDomain."""
     val = _normal_sq(eps, beta, skip)
-    raise_first([(val <= 0.0, _too_coarse)])
+    raise_first([(~(val > 0.0), _too_coarse)])
     return np.sqrt(val)
 
 
@@ -215,10 +215,10 @@ class FrameSurfaceSystem(HyperbolicSystem):
             rho12 = n1 * beta12 + e * (n2 * beta21 - theta - s)
         nsq = 1.0 - rho12 * rho21
         gates = [
-            (n1sq <= 0.0, _too_coarse),
-            (n2sq <= 0.0, _outside_admissible_set if self.splitting == "alpha" else _too_coarse),
-            (nsq <= 0.0, lambda row: SqrtDomain("normalizer n^2 = 1 - rho12 rho21 left the positive domain")),
-            (np.abs(-(rho12 + rho21) / 2.0 - 1.0) < TOL.line_circle,
+            (~(n1sq > 0.0), _too_coarse),
+            (~(n2sq > 0.0), _outside_admissible_set if self.splitting == "alpha" else _too_coarse),
+            (~(nsq > 0.0), lambda row: SqrtDomain("normalizer n^2 = 1 - rho12 rho21 left the positive domain")),
+            (~(np.abs(-(rho12 + rho21) / 2.0 - 1.0) >= TOL.line_circle),
              lambda row: DegenerateCircle("elementary circle degenerated to a line")),
         ]
         if rows is not True:  # the entries outside `rows` are not gated, and their n may be garbage
@@ -251,7 +251,7 @@ class FrameSurfaceSystem(HyperbolicSystem):
                 gated = np.logical_or.reduce([outputs[name] for name in ("h1", "h2", "b1", "b2") if name in want])
                 alone = outputs["psi"] & ~gated
                 if alone.any():
-                    checks.append(((_normal_sq(ea, beta_a, slot) <= 0.0) & alone, _too_coarse))
+                    checks.append((~(_normal_sq(ea, beta_a, slot) > 0.0) & alone, _too_coarse))
             rho12, rho21, n, n1, n2 = self.splitting_rhos(vals, eps, gated, checks)
             rho_ab, n_a = pick(rho12, rho21), pick(n1, n2)
         if "psi" in want:
@@ -419,7 +419,6 @@ def canonical_discretization(
     direction: int,
     eps: float,
     r: float,
-    stagger: bool = False,
     data: CurveData | None = None,
 ) -> DiscreteCurve:
     """Discrete curve driven by coefficients read off the smooth curve.
@@ -428,11 +427,10 @@ def canonical_discretization(
     oracles); the curve itself is then not consulted.
     """
     npts = mesh_points(r, eps)
-    t = np.arange(npts) * eps + (eps / 2.0 if stagger else 0.0)
     if data is None:
         if curve is None:
             raise ValueError("either a curve or pre-sampled data is required")
-        data = read_off_curve(alg, curve, psi0, direction, t, substep=eps / 4.0)
+        data = read_off_curve(alg, curve, psi0, direction, np.arange(npts) * eps, substep=eps / 4.0)
     frames = np.empty((npts, alg.dim, alg.dim))
     frames[0] = psi0
     _transport(alg, frames, direction, eps, data.h[: npts - 1], data.beta[: npts - 1])
@@ -677,7 +675,7 @@ def ribaucour_data(
     """Goursat data for a curve/transform pair from read-off data and a seed point."""
     d1, d2 = dirs
     h20 = float(np.linalg.norm(np.asarray(xplus0) - np.asarray(x0)))
-    if h20 <= 0:
+    if not h20 > 0:
         raise OutsideDomain("transform seed coincides with the curve start")
     # lifted edge direction (lambda(x+) - lambda(x)) / |x+ - x|; it has no e0 part
     v2hat = (alg.lift_point(np.asarray(xplus0, dtype=float)) - alg.lift_point(np.asarray(x0, dtype=float))) / h20
@@ -689,9 +687,9 @@ def ribaucour_data(
             n2_expect = float(alg.lorentz_dot(v2hat, vk))
             continue
         b2[k - 1] = -2.0 * float(alg.lorentz_dot(v2hat, vk))
-    if float(np.sum(b2 ** 2)) >= 4.0:
+    if not float(np.sum(b2 ** 2)) < 4.0:
         raise OutsideDomain("transform data left the admissible set (sum beta^2 >= 4)")
-    if n2_expect is not None and n2_expect < 0:
+    if n2_expect is not None and not n2_expect >= 0:
         raise OutsideDomain(
             "transform direction points against the frame slot; re-suit the frame"
         )

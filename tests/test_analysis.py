@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dlame.analysis import SweepReport, csurface_sweep, curve_sweep, rate_fit, run_sweep
+from dlame.analysis import SweepReport, csurface_sweep, curve_sweep, rate_fit, ribaucour_sweep, run_sweep
 from dlame.curves import warped_circle_curve
 from dlame.errors import DegenerateFit, SingularPoint
 from dlame.oracles import EllipticOracle, FlatOracle, SphericalOracle
@@ -131,6 +131,13 @@ class TestSweeps:
     def test_curve_sweep_rate(self):
         report = curve_sweep(warped_circle_curve(1.0, 0.35), [np.pi / 10, np.pi / 20, np.pi / 40],
                              16 * np.pi / 10)
+        assert 0.8 < report.slopes[0] < 1.2
+
+    def test_ribaucour_sweep_rate(self):
+        # the enveloping defect of the curve/transform pair decays at first order
+        report = ribaucour_sweep(warped_circle_curve(1.0, 0.3), lambda t: -1.0 + 0.3 * np.sin(1.5 * t),
+                                 np.array([0.55, 0.0]), [np.pi / 20, np.pi / 40, np.pi / 80], 8 * np.pi / 20)
+        assert report.kind == "ribaucour" and sorted(report.errors) == [0]
         assert 0.8 < report.slopes[0] < 1.2
 
     def test_report_requires_decreasing_eps(self):

@@ -3,6 +3,7 @@ import pytest
 
 from dlame.circles import (
     circularity_residual,
+    circularity_residual_batch,
     circumcircle,
     miquel_eighth_vertex,
     point_on_circumcircle,
@@ -24,6 +25,11 @@ class TestCircularityResidual:
     def test_off_circle_detected(self):
         bad = np.array([[0.0, 0], [1, 0], [0, 1], [1, 1.1]])
         assert circularity_residual(bad) > 1e-2
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_single_matches_batch_bitwise(self, rng, N):
+        quads = rng.normal(size=(40, 4, N))
+        assert [circularity_residual(q) for q in quads] == circularity_residual_batch(quads).tolist()
 
     def test_coincident_points(self):
         pts = np.array([[0.0, 0], [0, 0], [1, 0], [0, 1]])

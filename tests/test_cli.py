@@ -45,6 +45,13 @@ class TestExitCodes:
         ["csurface", "--eps", "0.1", "--r2", "inf"],
         ["orthosys", "--eps", "0.1", "--r", "0"],
         ["sweep", "--eps-list", "0.1,0.05", "--lmax", "-1"],
+        # malformed or non-finite numbers in the curve, alpha and seed specs
+        *(["ribaucour", "--eps", "0.1", "--r", "0.5", flag, spec] for flag, spec in [
+            ("--alpha", "sinmod:1"), ("--alpha", "const:x"), ("--alpha", "sinmod:a,b"),
+            ("--alpha", "const:nan"), ("--alpha", "sinmod:-1.0,inf"),
+            ("--curve", "circle:abc"), ("--curve", "circle:0"), ("--curve", "circle:-1"),
+            ("--curve", "warped:inf"), ("--seed", "0.55,nan"), ("--seed", "0.55,x"),
+        ]),
     ])
     def test_out_of_range_extent_or_order_exits_2(self, argv):
         assert main(argv) == 2

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,15 @@ class TestBlockSolve:
         with pytest.raises(DegenerateHexahedron):
             dcn_step_c(c, (0.1, 0.1, 1.0), triple=(0, 1, 2), tail_dirs=(2,))
 
+    def test_nan_tail_factor_is_inadmissible(self, rng):
+        c = rng.uniform(-0.2, 0.2, (3, 3))
+        np.fill_diagonal(c, 0.0)
+        c[2, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateHexahedron, match="inadmissible"):
+                dcn_step_c(c, (0.1, 0.1, 1.0), triple=(0, 1, 2), tail_dirs=(2,))
+
     def test_near_degenerate_errors_out(self, rng):
         c = rng.uniform(-0.2, 0.2, (3, 3))
         np.fill_diagonal(c, 0.0)
@@ -204,6 +214,12 @@ class TestHexahedron:
         st.w[2] = st.w[0]  # edges span a plane only
         with pytest.raises(DegenerateHexahedron):
             elementary_hexahedron(st, (1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("check,M", [(hexahedron_algebraic, 4), (elementary_hexahedron, 4),
+                                         (check_4d_consistency, 3)])
+    def test_wrong_number_of_directions_rejected(self, rng, check, M):
+        with pytest.raises(ValueError, match="directions"):
+            check(random_corner(rng, M=M), (1.0,) * M)
 
 
 class TestBatchedCorners:
@@ -521,6 +537,17 @@ class TestBatchedConjugateSolve:
         if request_ is not None:
             assert np.isnan(batched["x"].values).sum() == 0
             assert any(np.isnan(f.values).any() for f in batched.values())
+
+    def test_nan_coefficient_sample_fails_the_block_gate(self, rng):
+        # a nan c_12 gives its blocks a nan Hadamard ratio, which fails the gate at the first
+        # site that reads one, with no warning on the way; the solve returns no nan points
+        mesh, x0, w, c = _random_net_data(rng, 5, 0)
+        c[(0, 1)][2, 3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainViolation, match=r"triple \(0, 1, 2\) is singular") as err:
+                solve_conjugate_net(mesh, x0, w, c, N=3)
+        assert (err.value.site, err.value.direction) == (mesh.coords((2, 3, 0)), 2)
 
 
 class TestJonas:

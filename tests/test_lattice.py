@@ -182,6 +182,36 @@ class TestGoursat:
         with pytest.raises(SystemStructureError):
             HyperbolicSystem(2, comps)
 
+    @pytest.mark.parametrize("comps,match", [
+        ([Component("u", (), (), {0: ("u",)}), Component("u", (), (), {1: ("u",)})], "duplicate"),
+        ([Component("u", (), (0,), {0: ("u",), 1: ("u",)})], "non-evolution direction 0"),
+        ([Component("u", (), (), {0: ("u", "w"), 1: ("u",)})], "unknown component w"),
+    ], ids=["duplicate-name", "static-direction-read", "unknown-read"])
+    def test_malformed_declarations(self, comps, match):
+        with pytest.raises(SystemStructureError, match=match):
+            HyperbolicSystem(2, comps)
+
+    @pytest.mark.parametrize("mesh,data,request_,error,match", [
+        (MeshSpec((0.5,), (3,)), {"u": np.ones(2)}, None, ValueError, "mesh dimension"),
+        (MeshSpec((0.5, 0.5), (3, 3)), {"u": np.ones(2)}, ("v",), ValueError, "unknown components"),
+        (MeshSpec((0.5, 0.5), (3, 3)), {"u": lambda *xi: np.ones(2)}, None, TypeError, "callable"),
+    ], ids=["mesh-dimension", "unknown-request", "callable-data"])
+    def test_rejected_inputs(self, mesh, data, request_, error, match):
+        system = LinearSystem([np.eye(2), np.eye(2)])
+        with pytest.raises(error, match=match):
+            goursat_solve(system, mesh, data, request=request_)
+
+
+class TestMeshSpec:
+    @pytest.mark.parametrize("eps,npts,match", [
+        ((0.5, 0.5), (3,), "agree in length"),
+        ((0.5, 0.0), (3, 3), "strictly positive"),
+        ((0.5,), (0,), "at least one site"),
+    ])
+    def test_validation(self, eps, npts, match):
+        with pytest.raises(ValueError, match=match):
+            MeshSpec(eps, npts)
+
 
 class SiteGate(HyperbolicSystem):
     """u carries its own site index; stepping a listed (source, direction) fails."""
@@ -236,6 +266,10 @@ class TestConsistencyResidual:
         A2 = 0.2 * np.eye(2)
         system = LinearSystem([A1, A2])
         assert consistency_residual(system, {"u": np.array([1.0, 2.0])}, (0.25, 0.25)) < 1e-13
+
+    def test_single_evolution_direction_has_no_cross_difference(self):
+        system = LinearSystem([0.3 * np.eye(2)])
+        assert consistency_residual(system, {"u": np.array([1.0, 2.0])}, (0.25,)) == 0.0
 
 
 class TestFillOrderInvariance:

@@ -125,6 +125,27 @@ class TestFrameSystemIdentities:
         with pytest.raises(SqrtDomain):
             system.step(0, vals, (1.0, 1.0))
 
+    @pytest.mark.parametrize("name,outputs", [
+        ("b1", None), ("b2", None), ("split", None),
+        # a row that owns psi alone is gated on N_1^2 > 0 only
+        ("b1", {"psi": np.True_, "h2": np.False_, "b2": np.False_}),
+    ], ids=["N1", "N2", "n", "psi-alone"])
+    def test_nan_fails_the_gates(self, rng, name, outputs):
+        vals = random_surface_state(ALG3, rng)
+        if name == "split":
+            vals[name] = np.nan
+        else:
+            vals[name][2] = np.nan  # slot 2 enters N_1^2, N_2^2 and theta
+        system = FrameSurfaceSystem(ALG3, (1, 2), "gamma")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SqrtDomain):
+                system.step(0, vals, (0.1, 0.1), outputs)
+
+    def test_normal_factor_fails_closed(self):
+        with pytest.raises(SqrtDomain):
+            normal_factor(0.1, np.array([0.0, np.nan, 0.0]), 0)
+
 
 class PerSiteFrameSystem(per_row(FrameSurfaceSystem)):
     """The frame system stepped one site per call, as the per-site Goursat driver stepped it."""
@@ -296,6 +317,15 @@ class TestFrameTransport:
         run = lambda: ribaucour_solve(ALG2, warped_circle_curve(1.0, 0.3), alpha, np.array([0.55, 0.0]), eps, 0.5)
         new, ref = self._violations(run)
         assert new == ref and ref[:3] == ((3 * eps, 1.0), 0, SqrtDomain)
+
+    def test_nan_in_the_surface_splitting(self):
+        # a nan fails the gates: n^2 > 0 is the first that reads split[3, 4]
+        eps = np.pi / 20
+        data = csurface_data_from_oracle(EllipticOracle(), eps, 4 * np.pi / 10)
+        data.split[3, 4] = np.nan
+        new, ref = self._violations(lambda: orthogonal.csurface_solve(data))
+        assert new == ref and ref[:3] == ((3 * eps, 4 * eps), 1, SqrtDomain)
+        assert ref[3].startswith("normalizer n^2")
 
     def test_violation_in_the_surface_splitting(self):
         eps = np.pi / 40
@@ -531,6 +561,16 @@ class TestCSurface:
                                       data=CurveData(np.arange(data.npts[0]) * eps, data.h1, data.b1))
         assert np.max(np.abs(res.x[:, 0, :] - dc.points)) < 1e-10
 
+    def test_surface_splitting_needs_equal_mesh_sizes(self):
+        data = csurface_data_from_oracle(EllipticOracle(), np.pi / 20, 4 * np.pi / 10)
+        data.eps = (np.pi / 20, np.pi / 40)
+        with pytest.raises(ValueError, match="equal mesh sizes"):
+            csurface_solve(data)
+
+    def test_unknown_splitting_rejected(self):
+        with pytest.raises(ValueError, match="splitting must be"):
+            FrameSurfaceSystem(ALG2, (1, 2), "beta")
+
     def test_frame_to_point_trivials(self):
         assert np.allclose(frame_points(ALG2, np.eye(ALG2.dim)), np.zeros(2))
         t = np.array([0.7, -0.2])
@@ -645,6 +685,21 @@ class TestRibaucour:
             warnings.simplefilter("error")
             with pytest.raises(OutsideDomain, match="transform seed coincides with the curve start"):
                 ribaucour_solve(ALG2, curve, lambda t: -1.0, curve.x(0.0), np.pi / 80, 1.2)
+
+    @pytest.mark.parametrize("seed,nan_column,match", [
+        ([0.0, 0.0], None, "coincides with the curve start"),
+        # a nan fails each gate of the seed data
+        ([np.nan, 0.0], None, "coincides with the curve start"),
+        ([0.5, 0.5], 0, "admissible set"),
+        ([0.5, 0.5], 1, "points against the frame slot"),
+    ], ids=["at-start", "nan-seed", "nan-beta", "nan-slot"])
+    def test_seed_gates_with_a_given_frame(self, seed, nan_column, match):
+        psi0 = suited_frame(ALG2, np.zeros(2), [np.array([1.0, 0]), np.array([0.0, 1])])
+        if nan_column is not None:
+            psi0[0, nan_column] = np.nan
+        axis = CurveData(np.arange(5) * 0.1, np.ones(5), np.zeros((5, 2)))
+        with pytest.raises(OutsideDomain, match=match):
+            ribaucour_data(ALG2, axis, np.zeros(5), np.zeros(2), np.array(seed), psi0, (1, 2), 0.1)
 
     def test_tangential_seed_rejected(self):
         psi0 = suited_frame(ALG2, np.zeros(2), [np.array([1.0, 0]), np.array([0.0, 1])])
