@@ -53,17 +53,20 @@ def circumcircle(a, b, c):
     The points are (..., N) arrays with any (broadcastable) leading batch
     axes; the results carry the batch axes: center (..., N), radius (...),
     basis (..., N, 2).  Raises DegenerateEdges, carrying the first offending
-    batch row, when three points are collinear.
+    batch row, when a point is not finite or three points are collinear.
     """
     a, b, c = (np.asarray(p, dtype=float) for p in (a, b, c))
     uv = np.stack(np.broadcast_arrays(b - a, c - a), axis=-1)     # (..., N, 2)
+    finite = np.isfinite(uv).all(axis=(-2, -1)) & np.isfinite(a).all(axis=-1)
+    if not finite.all():  # the linear algebra sees zeros in place of an entry with a non-finite point
+        uv = np.where(finite[..., None, None], uv, 0.0)
     basis, _ = np.linalg.qr(uv)
     p = np.swapaxes(basis, -1, -2) @ uv       # columns: u and v in the basis
     A = 2.0 * np.swapaxes(p, -1, -2)
     rhs = np.sum(p * p, axis=-2)
     bound = 1e-14 * np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1))) ** 2
-    raise_first([(np.abs(np.linalg.det(A)) < bound,
-                  lambda row: DegenerateEdges("circumcircle of collinear points"))])
+    raise_first([(~finite, lambda row: DegenerateEdges("circumcircle of non-finite points")),
+                 (np.abs(np.linalg.det(A)) < bound, lambda row: DegenerateEdges("circumcircle of collinear points"))])
     y = np.linalg.solve(A, rhs[..., None])
     center = a + (basis @ y)[..., 0]
     radius = np.linalg.norm(center - a, axis=-1)[()]

@@ -478,21 +478,26 @@ def extract_rotation_coeffs(x, xi, xj, xij, eps_i: float, eps_j: float):
     axes.  Returns (c_ij, c_ji) over the batch axes, with
     delta_i delta_j x = c_ji delta_i x + c_ij delta_j x solved in the least
     squares sense through the SVD of the edge pair.  Raises DegenerateEdges
-    or NonPlanarQuad, carrying the first offending batch row.
+    (a non-finite vertex or collinear edges) or NonPlanarQuad, carrying the
+    first offending batch row.
     """
     x, xi, xj, xij = (np.asarray(p, dtype=float) for p in (x, xi, xj, xij))
     di = (xi - x) / eps_i
     dj = (xj - x) / eps_j
     m = (xij - xi - xj + x) / (eps_i * eps_j)
     di, dj, m = np.broadcast_arrays(di, dj, m)
+    finite = np.isfinite(di).all(axis=-1) & np.isfinite(dj).all(axis=-1) & np.isfinite(m).all(axis=-1)
+    if not finite.all():  # the SVDs see zeros in place of a quad with a non-finite vertex
+        di, dj, m = (np.where(finite[..., None], v, 0.0) for v in (di, dj, m))
     scale = np.maximum(np.maximum(np.linalg.norm(di, axis=-1), np.linalg.norm(dj, axis=-1)), 1e-300)
     E = np.stack([di, dj], axis=-1)                     # (..., N, 2)
     u, sv, vt = np.linalg.svd(E, full_matrices=False)
-    checks = [(sv[..., -1] < 1e-10 * scale,
+    checks = [(~finite, lambda row: DegenerateEdges("quadrilateral has a non-finite vertex")),
+              (sv[..., -1] < 1e-10 * scale,
                lambda row: DegenerateEdges("quadrilateral edges are collinear"))]
     if x.shape[-1] >= 3:
         planar = np.linalg.svd(np.stack([di, dj, m], axis=-1), compute_uv=False)[..., 2]
-        checks.append((planar > TOL.planarity * np.maximum(scale, np.linalg.norm(m, axis=-1)),
+        checks.append((~(planar <= TOL.planarity * np.maximum(scale, np.linalg.norm(m, axis=-1))),
                        lambda row: NonPlanarQuad("quadrilateral is not planar to tolerance")))
     raise_first(checks)
     # coef = V diag(1/s) U^T m, the least squares solution of E coef = m

@@ -45,9 +45,14 @@ def _cell_circles(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centers (n1 - 1, n2 - 1, 2) and radii (n1 - 1, n2 - 1), gated as `circle_records` says."""
     if x.ndim != 3 or x.shape[-1] != 2:
         raise NonPlanarExport("circle records need a two-dimensional planar field")
-    center, radius, _ = circumcircle(x[:-1, :-1], x[1:, :-1], x[1:, 1:])
+    corners = x[:-1, :-1], x[1:, :-1], x[1:, 1:]
+    ok = np.isfinite(x).all(axis=-1)
+    finite = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:]
+    if not finite.all():  # a cell with a non-finite corner gets a placeholder triangle and fails the test below
+        corners = [np.where(finite[..., None], p, q) for p, q in zip(corners, np.eye(3, 2))]
+    center, radius, _ = circumcircle(*corners)
     # fails closed: a nan deviation or radius fails the test
-    off = ~(np.abs(np.linalg.norm(x[:-1, 1:] - center, axis=-1) - radius) <= 1e-8 * radius)
+    off = ~finite | ~(np.abs(np.linalg.norm(x[:-1, 1:] - center, axis=-1) - radius) <= 1e-8 * radius)
     if off.any():
         i, j = np.argwhere(off)[0].tolist()
         raise ValueError(f"cell ({i}, {j}) is not concircular")

@@ -9,8 +9,12 @@ level, pulling each unknown from its lowest-index evolution direction, which
 makes the result independent of the site enumeration order by construction.
 A level is filled by one step call whose rows each carry their own direction
 and the outputs they own.  The schedule of that fill (see goursat_solve) is
-compiled once per system structure, box size and request into a plan kept in
-a bounded, process-local cache, so a solve only gathers, steps and scatters.
+compiled once per system structure, box size, request and problem count into
+a plan kept in a bounded, process-local cache, so a solve only gathers, steps
+and scatters.  Independent problems on one box (data with a leading problem
+axis) are folded into the plan's rows: site s of problem b is flat row
+s B + b, so B problems fill in the level calls of one, through the same step
+rules, and a failing row r is charged to the site of plan row r // B.
 """
 
 from __future__ import annotations
@@ -243,8 +247,15 @@ def _signature(system: HyperbolicSystem) -> tuple:
                  for c in system.components)
 
 
+def _read_only(*arrays):
+    """Read-only views of arrays that own their data (a view of a read-only owner cannot be made writeable)."""
+    for a in arrays:
+        a.flags.writeable = False
+    return tuple(a[:] for a in arrays)
+
+
 @functools.lru_cache(maxsize=32)
-def _fill_plan(signature: tuple, npts: tuple[int, ...], request: tuple[str, ...] | None):
+def _fill_plan(signature: tuple, npts: tuple[int, ...], request: tuple[str, ...] | None, problems: int = 1):
     """Per level with work, the one step call that fills it on a box of `npts` sites (see goursat_solve).
 
     A call is (outputs, dirs, src, dst, mask, sources): the union of its
@@ -255,7 +266,23 @@ def _fill_plan(signature: tuple, npts: tuple[int, ...], request: tuple[str, ...]
     s and inv[row] the source of each row.  A row is a (destination site,
     direction) pair; rows are in fill order: by the site's position within
     its level, then by the declaration index of the row's first output.
+
+    For B = `problems` > 1 each call of the one-problem plan is folded: its
+    row r becomes the B rows r B + b, one per problem b, with the direction
+    and mask of row r and the flat sites s B + b of its sites s (fields laid
+    out (sites, B, ...)); the source table fans out alike, first[s] B + b and
+    inv[r] B + b.  Folded rows are in fill order problem by problem within a
+    row of the one-problem plan.
     """
+    if problems > 1:
+        fan = np.arange(problems)
+
+        def fold(a):  # row or site r -> r B + b, problem by problem
+            return (a[:, None] * problems + fan).flatten()
+
+        return tuple((outputs, *_read_only(np.repeat(dirs, problems), fold(src), fold(dst),
+                                           np.repeat(mask, problems, axis=0)), _read_only(fold(first), fold(inv)))
+                     for outputs, dirs, src, dst, mask, (first, inv) in _fill_plan(signature, npts, request, 1))
     M, names = len(npts), [name for name, _, _ in signature]
     coords = np.indices(npts).reshape(M, -1)
     strides = np.array([math.prod(npts[d + 1:]) for d in range(M)], dtype=np.intp)
@@ -295,18 +322,14 @@ def _fill_plan(signature: tuple, npts: tuple[int, ...], request: tuple[str, ...]
     level = np.repeat(np.arange(len(levels)), [len(sites) for sites in levels])[k[order]]
     bounds = np.flatnonzero(np.diff(level, prepend=-1, append=len(levels))).tolist()
     plan = []
-    # read-only before slicing: a view of a read-only array cannot be made writeable
-    for a in (dirs, src, dst):
-        a.flags.writeable = False
+    dirs, src, dst = _read_only(dirs, src, dst)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         used = np.flatnonzero(mask[lo:hi].any(axis=0))
         cols = used[np.argsort([names[c] for c in used], kind="stable")]
         # the call's source table: its distinct source sites, each by its first row, and the source of each row
         _, first, inv = np.unique(src[lo:hi], return_index=True, return_inverse=True)
-        own, inv = mask[lo:hi, cols].copy(), inv.copy()
-        for a in (own, first, inv):
-            a.flags.writeable = False
-        plan.append((tuple(names[c] for c in cols), dirs[lo:hi], src[lo:hi], dst[lo:hi], own[:], (first[:], inv[:])))
+        own, first, inv = _read_only(mask[lo:hi, cols].copy(), first, inv.copy())
+        plan.append((tuple(names[c] for c in cols), dirs[lo:hi], src[lo:hi], dst[lo:hi], own, (first, inv)))
     return tuple(plan)
 
 
@@ -330,10 +353,25 @@ def goursat_solve(
     source table as `sources`, and each output scattered from its own rows
     only.
 
+    Independent problems on the same box are solved in one fill.  A datum
+    with one leading axis more than the static directions and the value
+    shape, (B, *static, *shape), holds one datum per problem; a datum without
+    it is shared by every problem.  Every stacked datum must agree on B, else
+    ValueError.  The fields are then (*mesh.shape, B, *shape), problem b
+    bitwise equal to the solve of its data alone.  The problem axis is folded
+    into the plan's rows, not into the step rules: site s of problem b is flat
+    row s B + b, each row of a level call becomes B rows, and the call's
+    source table fans out alike, so every rule steps B times the rows through
+    the same code path.  A solve without stacked data runs the one-problem
+    plan (B = 1) and returns (*mesh.shape, *shape) fields.
+
     A step rule that raises is reported as DomainViolation carrying the
     source site (plain-float coordinates), the step direction and the cause
     of the first failure in fill order: sites in `MeshSpec.levels()` order,
-    components in declaration order within a site.
+    components in declaration order within a site, problems in order within a
+    (site, direction) row; a failing folded row r is charged to the site of
+    plan row r // B.  So a stacked solve names the first failure over all its
+    problems in fill order, which need not be the first failing problem's.
 
     The solve is demand driven: when `request` names a subset of components,
     only the values those components transitively read (through the declared
@@ -342,11 +380,12 @@ def goursat_solve(
     describe a further transform that no requested output depends on.
 
     The schedule of step calls (the fill plan) is a pure function of the
-    components' names, static directions and read sets, of `mesh.npts` and
-    of the set of requested names.  It is built once per such key, vectorised
-    over the box (per level: row directions, source and destination sites,
-    one output mask array and the source table), and kept in a bounded, process-local LRU cache; a
-    solve then only gathers, steps and scatters on flat views of the fields.
+    components' names, static directions and read sets, of `mesh.npts`, of
+    the set of requested names and of the problem count.  It is built once per
+    such key, vectorised over the box (per level: row directions, source and
+    destination sites, one output mask array and the source table), and kept
+    in a bounded, process-local LRU cache; a solve then only gathers, steps
+    and scatters on flat views of the fields.
     """
     if mesh.M != system.M:
         raise ValueError("mesh dimension does not match the system")
@@ -356,17 +395,29 @@ def goursat_solve(
         if unknown:
             raise ValueError(f"requested unknown components {sorted(unknown)}")
         request = tuple(sorted(set(request)))
-    plan = _fill_plan(_signature(system), tuple(mesh.npts), request)
+    data = {comp.name: data[comp.name] for comp in comps}
+    if any(callable(arr) for arr in data.values()):
+        raise TypeError("callable data not supported; sample it on the static subspace")
+    data = {name: np.asarray(arr, dtype=float) for name, arr in data.items()}
+    stacked = {comp.name for comp in comps if data[comp.name].ndim == len(comp.static) + len(comp.shape) + 1}
+    counts = {data[name].shape[0] for name in stacked}
+    if len(counts) > 1:
+        raise ValueError(f"stacked data disagree on the number of problems: {sorted(counts)}")
+    B = counts.pop() if counts else 1
+    lead = (B,) if stacked else ()    # the problem axis of the fields
+    plan = _fill_plan(_signature(system), tuple(mesh.npts), request, B)
 
     full: dict[str, np.ndarray] = {}
     for comp in comps:
-        full[comp.name] = np.full(mesh.shape + comp.shape, np.nan)
-        arr = data[comp.name]
+        full[comp.name] = np.full(mesh.shape + lead + comp.shape, np.nan)
+        arr, k = data[comp.name], len(comp.static)
         stat_shape = tuple(mesh.npts[d] for d in comp.static)
-        if callable(arr):
-            raise TypeError("callable data not supported; sample it on the static subspace")
+        if comp.name in stacked:
+            arr = np.moveaxis(np.broadcast_to(arr, lead + stat_shape + comp.shape), 0, k)
+        else:
+            arr = np.broadcast_to(arr, stat_shape + comp.shape)[(slice(None),) * k + (None,) * len(lead)]
         static = tuple(slice(None) if d in comp.static else 0 for d in range(mesh.M))
-        full[comp.name][static] = np.broadcast_to(np.asarray(arr, dtype=float), stat_shape + comp.shape)
+        full[comp.name][static] = arr
 
     flat = {comp.name: full[comp.name].reshape((-1,) + comp.shape) for comp in comps}
     for outputs, dirs, src, dst, mask, sources in plan:
@@ -380,7 +431,7 @@ def goursat_solve(
             # rows are in fill order, so a gate's first failing row is the solve's first failure;
             # a call that fails outside a gate is charged to its first row
             row = getattr(exc, "row", None) or 0
-            site = [int(i) for i in np.unravel_index(src[row], mesh.shape)]
+            site = [int(i) for i in np.unravel_index(src[row] // B, mesh.shape)]
             raise DomainViolation(mesh.coords(site), int(dirs[row]), exc) from exc
         for name, rows in own.items():
             flat[name][dst[rows]] = out[name][rows]

@@ -50,6 +50,7 @@ from .curves import SmoothCurve
 from .errors import (
     DegenerateBasis,
     DegenerateCircle,
+    DLameError,
     DomainViolation,
     FrameDrift,
     ImmersionFailure,
@@ -596,14 +597,21 @@ class OrthosysResult:
     curves: dict[int, DiscreteCurve]
 
 
-# Clifford labels of the three coordinate directions of an assembled system
+# Clifford labels of the three coordinate directions of an assembled system, and its coordinate surfaces
 _LABELS = (1, 2, 3)
+_PAIRS = tuple(itertools.combinations(_LABELS, 2))
+# per coordinate surface (i, j): the beta slots of labels i, j and the third label, in that order
+_RELABEL = np.array([[i - 1, j - 1, 5 - i - j] for i, j in _PAIRS])
 
 
 def orthosys_assemble(spec: OrthoSurfaceSpec) -> OrthosysResult:
     """Assemble a three-dimensional discrete orthogonal system from its
     coordinate surfaces: solve each surface in frame form, read its conjugate
     coefficients off the quads, and propagate into the bulk as a conjugate net.
+    In R^3 the three surfaces are solved as one problem stack; when that
+    fails they are solved one at a time, so the error raised is the first
+    failing surface's (in `itertools.combinations` order), at its first
+    failure in fill order.
     """
     alg = spec.alg
     eps = spec.eps
@@ -615,22 +623,63 @@ def orthosys_assemble(spec: OrthoSurfaceSpec) -> OrthosysResult:
             alg, None, spec.psi0, i, eps, (npts - 1) * eps, data=spec.axis[i]
         )
 
-    surfaces = {}
-    cdata = {}
-    for i, j in itertools.combinations(_LABELS, 2):
-        data = CSurfaceData(alg=alg, psi0=spec.psi0, eps=(eps, eps), npts=(npts, npts), dirs=(i, j),
-                            h1=spec.axis[i].h, b1=spec.axis[i].beta, h2=spec.axis[j].h, b2=spec.axis[j].beta,
-                            split=spec.gamma[(i, j)])
-        surf = csurface_solve(data)
-        surfaces[(i, j)] = surf
-        x = surf.x
-        cdata[(i, j)], cdata[(j, i)] = extract_rotation_coeffs(
-            x[:-1, :-1], x[1:, :-1], x[:-1, 1:], x[1:, 1:], eps, eps)
+    surfaces = cdata = None
+    if alg.n == 3:
+        try:
+            surfaces, cdata = _stacked_surfaces(spec)
+        except DLameError:
+            pass  # solved one at a time, the surfaces raise the first failing surface's error
+    if surfaces is None:
+        surfaces, cdata = {}, {}
+        for i, j in _PAIRS:
+            data = CSurfaceData(alg=alg, psi0=spec.psi0, eps=(eps, eps), npts=(npts, npts), dirs=(i, j),
+                                h1=spec.axis[i].h, b1=spec.axis[i].beta, h2=spec.axis[j].h, b2=spec.axis[j].beta,
+                                split=spec.gamma[(i, j)])
+            surf = csurface_solve(data)
+            surfaces[(i, j)] = surf
+            x = surf.x
+            cdata[(i, j)], cdata[(j, i)] = extract_rotation_coeffs(
+                x[:-1, :-1], x[1:, :-1], x[:-1, 1:], x[1:, 1:], eps, eps)
 
     n = npts - 1                 # the requested box
     mesh = MeshSpec(eps=(eps,) * 3, npts=(n,) * 3)
     fields = solve_conjugate_net(mesh, spec.x0, *_bulk_inputs(curves, cdata, eps, n), N=alg.n)
     return OrthosysResult(spec, surfaces, cdata, fields, fields["x"].values, curves)
+
+
+def _stacked_surfaces(spec: OrthoSurfaceSpec):
+    """The three coordinate surfaces (i, j) of a system in R^3 and their conjugate coefficients
+    (cdata), bitwise equal to `csurface_solve` and `extract_rotation_coeffs` surface by surface.
+
+    The (h, beta) system of a surface with Clifford directions (i, j) is that of the (1, 2)
+    surface with the slots of beta relabelled (i, j, k) -> (1, 2, 3); every sum its steps take
+    has at most two terms, so relabelling changes no bit.  One Goursat solve fills (h, beta)
+    for the three surfaces as a problem stack, the frames are transported side by side, each
+    in the directions of its own surface, and one `extract_rotation_coeffs` call covers the
+    quads of all three.  Raises on the first failure over the three surfaces, which need not
+    be the first failing surface's."""
+    alg, eps, npts = spec.alg, spec.eps, spec.npts
+    d1, d2 = np.array(_PAIRS).T
+    data = {"psi": spec.psi0, "split": np.stack([spec.gamma[pair] for pair in _PAIRS])}
+    for a, labels in ((1, d1), (2, d2)):
+        data[f"h{a}"] = np.stack([spec.axis[d].h for d in labels])
+        data[f"b{a}"] = np.stack([spec.axis[d].beta[:, slots] for d, slots in zip(labels, _RELABEL)])
+    mesh = MeshSpec((eps, eps), (npts, npts))
+    # (n, n, surface, ...) values, beta back in the slots of each surface
+    v = {name: f.values for name, f in _coefficients(FrameSurfaceSystem(alg), mesh, data).items()}
+    for name in ("b1", "b2"):
+        v[name] = v[name][:, :, np.arange(3)[:, None], np.argsort(_RELABEL, axis=1)]
+    _transport(alg, v["psi"][0], d2, eps, v["h2"][0, :-1], v["b2"][0, :-1])
+    _transport(alg, v["psi"], d1, eps, v["h1"][:-1], v["b1"][:-1])
+    v = {name: np.ascontiguousarray(np.moveaxis(arr, 2, 0)) for name, arr in v.items()}
+    x = frame_points(alg, v["psi"])
+    c_ij, c_ji = extract_rotation_coeffs(x[:, :-1, :-1], x[:, 1:, :-1], x[:, :-1, 1:], x[:, 1:, 1:], eps, eps)
+    surfaces, cdata = {}, {}
+    for s, (i, j) in enumerate(_PAIRS):
+        surfaces[(i, j)] = CSurfaceResult(alg, mesh, (i, j), "gamma",
+                                          {name: LatticeField(mesh, arr[s]) for name, arr in v.items()}, x[s])
+        cdata[(i, j)], cdata[(j, i)] = c_ij[s], c_ji[s]
+    return surfaces, cdata
 
 
 def _bulk_inputs(curves: dict[int, DiscreteCurve], cdata, eps: float, n: int):
@@ -674,7 +723,7 @@ def ribaucour_data(
 ) -> CSurfaceData:
     """Goursat data for a curve/transform pair from read-off data and a seed point."""
     d1, d2 = dirs
-    h20 = float(np.linalg.norm(np.asarray(xplus0) - np.asarray(x0)))
+    h20 = float(np.linalg.norm(_finite_seed(xplus0) - np.asarray(x0)))
     if not h20 > 0:
         raise OutsideDomain("transform seed coincides with the curve start")
     # lifted edge direction (lambda(x+) - lambda(x)) / |x+ - x|; it has no e0 part
@@ -710,6 +759,14 @@ def ribaucour_data(
     )
 
 
+def _finite_seed(xplus0) -> np.ndarray:
+    """The transform seed as a float array; raises OutsideDomain when it is not finite."""
+    seed = np.asarray(xplus0, dtype=float)
+    if not np.isfinite(seed).all():
+        raise OutsideDomain("transform seed is not finite")
+    return seed
+
+
 def ribaucour_solve(
     alg: Algebra,
     curve: SmoothCurve,
@@ -729,6 +786,7 @@ def ribaucour_solve(
     the positive branch of N_2.
     """
     d1, d2 = dirs
+    xplus0 = _finite_seed(xplus0)
     npts = mesh_points(r, eps)
     t = np.arange(npts) * eps
     x0 = np.asarray(curve.x(0.0), dtype=float)

@@ -12,6 +12,10 @@ to this driver's calls split into rows, in fill order.
 each with a plain int direction and the tuple of the row's own outputs, as
 the per-site drivers did; the differential tests hold the batched step calls
 of both drivers to it.
+
+`problems` splits the data of a stacked solve (a leading problem axis) into
+the data of its problems, and `by_problem` solves them one at a time: the
+meaning of the problem axis that the planned driver's fold is held to.
 """
 
 from __future__ import annotations
@@ -184,6 +188,24 @@ def per_row(cls):
                     for name in names}
 
     return PerRow
+
+
+def problems(system, data):
+    """Per problem, the data of a stacked solve; None when no datum carries a problem axis.  A
+    datum with one leading axis more than its component's static directions and value shape
+    holds one datum per problem; any other datum is shared by every problem."""
+    stacked = {c.name for c in system.components if np.ndim(data[c.name]) == len(c.static) + len(c.shape) + 1}
+    if not stacked:
+        return None
+    count = len(data[min(stacked)])
+    return [{name: np.asarray(v)[b] if name in stacked else v for name, v in data.items()} for b in range(count)]
+
+
+def by_problem(solve, system, mesh, data, request=None):
+    """The problems of a stacked solve solved one at a time through solve(system, mesh, data,
+    request) -> fields, their fields stacked on a problem axis after the mesh axes."""
+    fields = [solve(system, mesh, single, request) for single in problems(system, data)]
+    return {name: LatticeField(mesh, np.stack([f[name].values for f in fields], axis=mesh.M)) for name in fields[0]}
 
 
 def plan_rows(system, mesh, request=None) -> int:

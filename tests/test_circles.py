@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,24 @@ class TestCircumcircle:
         with pytest.raises(DegenerateEdges) as err:
             circumcircle(a, b, c)
         assert err.value.row == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_fails_closed(self, rng, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateEdges, match="non-finite") as err:
+                circumcircle([0, 0], [1, 0], [bad, 1])
+            assert err.value.row == 0
+            # the first bad entry over both gates: a non-finite point at 2 before a collinear triple at 4
+            a, b, c = rng.normal(size=(3, 6, 2))
+            c[4] = 2.0 * b[4] - a[4]
+            a[2, 1] = bad
+            with pytest.raises(DegenerateEdges, match="non-finite") as err:
+                circumcircle(a, b, c)
+            assert err.value.row == 2
+            with pytest.raises(DegenerateEdges, match="collinear") as err:
+                circumcircle(a[3:], b[3:], c[3:])
+            assert err.value.row == 1
 
     def test_point_parametrization_stays_on_circle(self, rng):
         a, b, c = rng.normal(size=(3, 3))

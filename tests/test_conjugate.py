@@ -23,8 +23,8 @@ from dlame.conjugate import (
 )
 from dlame.errors import DegenerateEdges, DegenerateHexahedron, DomainViolation, NonPlanarQuad
 from dlame.lattice import MeshSpec, consistency_residual
-from dlame.oracles import EllipticOracle, csurface_data_from_oracle
-from dlame.orthogonal import csurface_solve
+from dlame.oracles import EllipticOracle, SphericalOracle, csurface_data_from_oracle
+from dlame.orthogonal import csurface_solve, orthosys_assemble
 
 from goursat_reference import per_row, plan_rows, record_systems
 
@@ -349,6 +349,61 @@ class TestExtractRotationCoeffs:
         with pytest.raises(NonPlanarQuad) as err:
             extract_rotation_coeffs(x, xi, collinear, nonplanar, 1.0, 1.0)
         assert err.value.row == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vertex_fails_closed(self, rng, bad):
+        x, w1, w2 = rng.normal(size=(3, 5, 3))
+        xi, xj = x + w1, x + w2
+        xij = xi + xj - x
+        xij[3, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateEdges, match="non-finite vertex") as err:
+                extract_rotation_coeffs(x, xi, xj, xij, 1.0, 1.0)
+            assert err.value.row == 3
+            # a collinear quad before it is named first
+            collinear = xj.copy()
+            collinear[1] = x[1] + 2.0 * w1[1]
+            with pytest.raises(DegenerateEdges, match="collinear") as err:
+                extract_rotation_coeffs(x, xi, collinear, xij, 1.0, 1.0)
+            assert err.value.row == 1
+
+    @pytest.mark.parametrize("bad", [
+        [((1, 2, 3), np.nan)],
+        [((2, 0, 1), np.nan), ((1, 4, 4), np.inf)],
+        [((2, 0, 0), np.nan), ((0, 5, 5), -np.inf)],
+    ])
+    def test_stacked_surfaces_name_the_per_surface_quad(self, bad):
+        # three coordinate surfaces (m + 1, m + 1) side by side: the stacked call names the quad
+        # the per-surface calls meet first, surface by surface
+        eps = 0.1
+        res = orthosys_assemble(SphericalOracle().surface_spec(eps, 0.5))
+        x = np.stack([surf.x for surf in res.surfaces.values()])
+        for (s, i, j), value in bad:
+            x[s, i, j, 1] = value
+
+        def quads(v):
+            return v[..., :-1, :-1, :], v[..., 1:, :-1, :], v[..., :-1, 1:, :], v[..., 1:, 1:, :]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateEdges) as err:
+                extract_rotation_coeffs(*quads(x), eps, eps)
+            singles = []
+            for surface in x:
+                try:
+                    extract_rotation_coeffs(*quads(surface), eps, eps)
+                except DegenerateEdges as e:
+                    singles.append(e)
+                else:
+                    singles.append(None)
+        s, single = next((s, e) for s, e in enumerate(singles) if e is not None)
+        m = x.shape[1] - 1
+        assert err.value.row == s * m * m + single.row
+        assert str(err.value) == str(single) == "quadrilateral has a non-finite vertex"
+        # the first quad holding the first bad vertex in surface-major order
+        s0, i0, j0 = min(at for at, _ in bad)
+        assert (s, *divmod(single.row, m)) == (s0, max(i0 - 1, 0), max(j0 - 1, 0))
 
 
 class TestConsistency:

@@ -19,7 +19,7 @@ from dlame.curves import warped_circle_curve
 from dlame.errors import DegenerateHexahedron, DomainViolation, SqrtDomain
 from dlame.lattice import Component, HyperbolicSystem, MeshSpec, _fill_plan, _signature, goursat_solve
 from dlame.oracles import EllipticOracle, SphericalOracle, csurface_data_from_oracle
-from dlame.orthogonal import csurface_solve, ribaucour_pair_3d, ribaucour_solve
+from dlame.orthogonal import FrameSurfaceSystem, csurface_solve, ribaucour_pair_3d, ribaucour_solve
 
 import goursat_reference
 from test_lattice import LinearSystem, ScalarSiteGate, SiteGate
@@ -68,7 +68,7 @@ def planned_rows(system, mesh, data, request=None):
         fields = goursat_solve(system, mesh, data, request=request)
     finally:
         del system.step
-    plan = _fill_plan(_signature(system), tuple(mesh.npts), None if request is None else tuple(sorted(set(request))))
+    plan = _fill_plan(_signature(system), tuple(mesh.npts), None if request is None else tuple(sorted(set(request))), 1)
     assert len(calls) == len(plan)
     for call, table, (outputs, dirs, level_src, _, _, sources) in zip(calls, tables, plan):
         assert [d for d, _ in call] == dirs.tolist()
@@ -85,18 +85,28 @@ def planned_rows(system, mesh, data, request=None):
     return fields, [(s, d, own) for s, (d, own) in zip(src, rows)]
 
 
-def solve_both(system, mesh, data, request=None):
-    """Planned solve, checked against the reference driver: fused step calls
-    whose rows are the reference calls' rows in fill order, and bitwise-equal
-    fields (nan patterns included)."""
-    ref, ref_rows = reference_rows(system, mesh, data, request)
-    new, new_rows = planned_rows(system, mesh, data, request)
-    assert new_rows == ref_rows
+def assert_same_fields(new, ref):
+    """Equal names in equal order, and bitwise-equal values (nan patterns included)."""
     assert list(new) == list(ref)
     for name in ref:
         assert new[name].values.dtype == ref[name].values.dtype
         assert new[name].values.shape == ref[name].values.shape
         assert new[name].values.tobytes() == ref[name].values.tobytes(), name
+
+
+def solve_both(system, mesh, data, request=None):
+    """Planned solve, checked against the reference driver: fused step calls
+    whose rows are the reference calls' rows in fill order, and bitwise-equal
+    fields (nan patterns included).  A stacked solve must equal its problems
+    solved one at a time, each of them checked so."""
+    if goursat_reference.problems(system, data) is not None:
+        new = goursat_solve(system, mesh, data, request)
+        assert_same_fields(new, goursat_reference.by_problem(solve_both, system, mesh, data, request))
+        return new
+    ref, ref_rows = reference_rows(system, mesh, data, request)
+    new, new_rows = planned_rows(system, mesh, data, request)
+    assert new_rows == ref_rows
+    assert_same_fields(new, ref)
     return new
 
 
@@ -346,6 +356,112 @@ class TestFusedLevels:
         data["c2_3"][1, 0] = corner[1, 2]
         out = solve_both(system, mesh, data, ("x",))
         assert not np.isnan(out["x"].values).any()
+
+
+def _stacked(problems, shared=()):
+    """The data of `problems` on a leading problem axis; a name in `shared` keeps problem 0's datum, unstacked."""
+    return {name: problems[0][name] if name in shared else np.stack([np.asarray(p[name], dtype=float) for p in problems])
+            for name in problems[0]}
+
+
+class TestStackedProblems:
+    """Independent problems on one box, stacked on a leading data axis and folded into the fill
+    plan's rows: each problem bitwise equal to its solve alone (which is held to the reference
+    driver), the one-problem plan unchanged, and a failure charged to the site of its plan row."""
+
+    @pytest.mark.parametrize("B", [1, 2, 3])
+    def test_linear_system(self, rng, B):
+        A = [0.3 * np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[0.1, 0.4], [0.0, 0.2]]), 0.2 * np.eye(2)]
+        for M, npts in ((2, (5, 4)), (3, (3, 1, 4))):
+            system, mesh = LinearSystem(A[:M]), MeshSpec(eps=(0.25,) * M, npts=npts)
+            for request in (None, ("u",), ()):
+                out = solve_both(system, mesh, {"u": rng.normal(size=(B, 2))}, request)
+                assert out["u"].values.shape == npts + (B, 2)
+
+    @pytest.mark.parametrize("B", [1, 2, 3])
+    def test_conjugate_tail_direction(self, rng, B):
+        # the blocks of each (source site, problem) are solved once, through the source table's fold
+        mesh = MeshSpec(eps=(0.1, 0.1, 1.0), npts=(4, 3, 2), tail=1)
+        system = ConjugateSystem(3, 3, tail_dirs=(2,))
+        problems = [{"x": rng.normal(size=3),
+                     **{f"w{i + 1}": np.eye(3)[i] + 0.1 * rng.normal(size=(mesh.npts[i], 3)) for i in range(3)},
+                     **{cname(i + 1, j + 1): rng.uniform(-0.2, 0.2, (mesh.npts[min(i, j)], mesh.npts[max(i, j)]))
+                        for i, j in itertools.permutations(range(3), 2)}} for _ in range(B)]
+        for shared in ((), ("x", "c1_3")):
+            out = solve_both(system, mesh, _stacked(problems, shared), ("x",))
+            assert out["x"].values.shape == mesh.shape + (B, 3) and not np.isnan(out["x"].values).any()
+            assert np.isnan(out["c1_2"].values).any()
+
+    @pytest.mark.parametrize("B", [1, 2, 3])
+    def test_frame_surface(self, B):
+        base = csurface_data_from_oracle(EllipticOracle(), np.pi / 20, 4 * np.pi / 10)
+        problems = [{"psi": base.psi0, "h1": base.h1 * (1.0 + 0.1 * b), "h2": base.h2, "b1": base.b1,
+                     "b2": base.b2 * (1.0 - 0.2 * b), "split": base.split + 0.1 * b} for b in range(B)]
+        system, mesh = FrameSurfaceSystem(base.alg, base.dirs), MeshSpec(base.eps, base.npts)
+        for request in (("h1", "h2", "b1", "b2"), None):
+            out = solve_both(system, mesh, _stacked(problems, ("psi", "h2")), request)
+            assert out["b1"].values.shape == mesh.shape + (B, 2)
+
+    @pytest.mark.parametrize("B", [2, 3])
+    def test_folded_plan(self, B):
+        system, npts = ConjugateSystem(3, 3, tail_dirs=(2,)), (4, 3, 2)
+        one, folded = (_fill_plan(_signature(system), npts, ("x",), k) for k in (1, B))
+        assert len(folded) == len(one) > 0
+        for (outputs, dirs, src, dst, mask, _), call in zip(one, folded):
+            f_outputs, f_dirs, f_src, f_dst, f_mask, (first, inv) = call
+            assert f_outputs == outputs
+            assert f_dirs.tolist() == [d for d in dirs.tolist() for _ in range(B)]
+            assert f_src.tolist() == [s * B + b for s in src.tolist() for b in range(B)]
+            assert f_dst.tolist() == [s * B + b for s in dst.tolist() for b in range(B)]
+            assert np.array_equal(f_mask, np.repeat(mask, B, axis=0))
+            # the source table of the folded rows, as the plan builder makes it for a call
+            _, ref_first, ref_inv = np.unique(f_src, return_index=True, return_inverse=True)
+            assert first.tolist() == ref_first.tolist() and inv.tolist() == ref_inv.ravel().tolist()
+            for arr in (f_dirs, f_src, f_dst, f_mask, first, inv):
+                with pytest.raises(ValueError):
+                    arr.flags.writeable = True
+
+    def test_one_problem_runs_the_unstacked_plan(self, rng):
+        system, mesh = LinearSystem([0.3 * np.eye(2), np.array([[0.1, 0.4], [0.0, 0.2]])]), MeshSpec((0.25, 0.5), (5, 4))
+        calls, inner = [], system.step
+
+        def step(j, vals, eps, outputs=None, sources=None):
+            calls.append((j, sources))
+            return inner(j, vals, eps, outputs=outputs, sources=sources)
+
+        system.step = step
+        u0 = rng.normal(size=2)
+        plain, stacked = goursat_solve(system, mesh, {"u": u0}), goursat_solve(system, mesh, {"u": u0[None]})
+        assert stacked["u"].values.shape == mesh.shape + (1, 2)
+        assert stacked["u"].values.tobytes() == plain["u"].values.tobytes()
+        n = len(calls) // 2
+        assert n > 0 and all(a is b and s is t for (a, s), (b, t) in zip(calls[:n], calls[n:]))
+
+    @pytest.mark.parametrize("system_cls", [SiteGate, ScalarSiteGate])
+    @pytest.mark.parametrize("bad,problem", [
+        ([((12, 1), 0)], 1),
+        # two problems failing on one level: the earlier row in fill order wins, whatever its problem
+        ([((2, 1), 0), ((20, 3), 1)], 2),
+        ([((21, 2), 0), ((0, 3), 1)], 0),
+        # one (site, direction) row failing in two problems: the lower problem first
+        ([((21, 2), 0), ((11, 2), 0)], 1),
+    ])
+    def test_failure_names_the_site_of_its_plan_row(self, system_cls, bad, problem):
+        # problem b starts at (10 b, 0), so its u at site (i, j) is (10 b + i, j)
+        mesh = MeshSpec(eps=(0.5, 0.25), npts=(6, 6))
+        starts = np.array([[10.0 * b, 0.0] for b in range(3)])
+        with pytest.raises(DomainViolation) as err:
+            goursat_solve(system_cls(bad), mesh, {"u": starts})
+        with pytest.raises(DomainViolation) as alone:
+            goursat_solve(system_cls(bad), mesh, {"u": starts[problem]})
+        assert (err.value.site, err.value.direction) == (alone.value.site, alone.value.direction)
+        assert [type(v) for v in err.value.site] == [float, float]
+        assert type(err.value.cause) is type(alone.value.cause)
+
+    def test_problem_counts_must_agree(self):
+        mesh = MeshSpec(eps=(0.5, 0.25), npts=(4, 3))
+        with pytest.raises(ValueError, match="number of problems"):
+            goursat_solve(ThreeGate([]), mesh, {"a": np.zeros((2, 2)), "b": np.zeros((3, 4, 2)), "c": np.zeros(2)})
 
 
 class TestLevels:

@@ -161,11 +161,19 @@ class TestBatchedFrameSolve:
         data = csurface_data_from_oracle(EllipticOracle(), np.pi / 20, 4 * np.pi / 10)
         batched = csurface_solve(data).fields
         systems = record_systems(monkeypatch, orthogonal, "FrameSurfaceSystem", PerSiteFrameSystem)
+        owned, inner = [], FrameSurfaceSystem.step
+
+        def step(self, direction, vals, eps, outputs=None, sources=None):
+            owned.append(outputs)
+            return inner(self, direction, vals, eps, outputs=outputs, sources=sources)
+
+        monkeypatch.setattr(FrameSurfaceSystem, "step", step)
         res = csurface_solve(data)
         _same_fields(batched, res.fields)
-        # the frame is transported after the solve, which steps h and beta alone
+        # the frame is transported after the solve, which steps h and beta alone: one row per call, none owning psi
         assert [s.calls for s in systems] == [plan_rows(systems[0], res.mesh, ("h1", "h2", "b1", "b2"))]
-        assert systems[0].calls > 0
+        assert len(owned) == systems[0].calls > 0
+        assert not any("psi" in outputs for outputs in owned)
 
     def test_alpha_transform_matches_per_site_solve(self, monkeypatch):
         def solve():
@@ -240,38 +248,81 @@ class KinkedTransform(FrameSurfaceSystem):
         return out
 
 
+def _same_surface(res, ref):
+    """A solved surface bitwise equal to the reference: fields, nan patterns, points and mesh."""
+    assert list(res.fields) == list(ref.fields) == ["psi", "h1", "h2", "b1", "b2", "split"]
+    for name, field in ref.fields.items():
+        assert res.fields[name].values.shape == field.values.shape
+        assert res.fields[name].values.tobytes() == field.values.tobytes(), name
+    assert res.x.tobytes() == ref.x.tobytes()
+    assert res.mesh == ref.mesh
+    assert (res.dirs, res.splitting) == (ref.dirs, ref.splitting)
+
+
 class TestFrameTransport:
     """The frame transported after the (h, beta) solve against the fused level-by-level solve
     (frame_reference.py): bitwise fields and nan patterns, the same DomainViolation, and no
-    step call that owns psi."""
+    step call that owns psi.  An assembled system's coordinate surfaces, solved as one stack,
+    are held to the reference surface by surface."""
 
     @pytest.mark.parametrize("run,splittings", [
         (_elliptic_surface(np.pi / 20), ["gamma"]),
         (_elliptic_surface(np.pi / 160), ["gamma"]),
-        (lambda: orthosys_assemble(SphericalOracle().surface_spec(0.025, 0.4)), ["gamma"] * 3),
+        # the three coordinate surfaces are one stacked solve, which makes no csurface_solve call
+        (lambda: orthosys_assemble(SphericalOracle().surface_spec(0.025, 0.4)), []),
         (_ribaucour_curve_pair, ["alpha"]),
-        # the three coordinate surfaces, then the three curve/transform pair solves
-        (_ribaucour_pair_3d, ["gamma"] * 3 + ["alpha"] * 3),
+        # the stacked coordinate surfaces, then the three curve/transform pair solves
+        (_ribaucour_pair_3d, ["alpha"] * 3),
     ], ids=["elliptic-pi/20", "elliptic-pi/160", "spherical-0.025", "ribaucour-pi/40", "pair-3d"])
     def test_fields_match_fused_solve(self, monkeypatch, run, splittings):
         solves, inner = [], orthogonal.csurface_solve
 
         def checked(data):
-            res, ref = inner(data), frame_reference.csurface_solve(data)
-            assert list(res.fields) == list(ref.fields) == ["psi", "h1", "h2", "b1", "b2", "split"]
-            for name, field in ref.fields.items():
-                assert res.fields[name].values.shape == field.values.shape
-                assert res.fields[name].values.tobytes() == field.values.tobytes(), name
-            assert res.x.tobytes() == ref.x.tobytes()
-            assert res.mesh == ref.mesh
+            res = inner(data)
+            _same_surface(res, frame_reference.csurface_solve(data))
             solves.append(data.splitting)
             return res
 
         monkeypatch.setattr(orthogonal, "csurface_solve", checked)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            run()
+            out = run()
         assert solves == splittings
+        assembled = out.base if isinstance(out, orthogonal.RibaucourPair3D) else out
+        if isinstance(assembled, orthogonal.OrthosysResult):
+            spec = assembled.spec
+            assert list(assembled.surfaces) == [(1, 2), (1, 3), (2, 3)]
+            for (i, j), surf in assembled.surfaces.items():
+                _same_surface(surf, frame_reference.csurface_solve(frame_reference.coordinate_surface_data(spec, i, j)))
+            ref = frame_reference.coordinate_surfaces(spec)[1]
+            assert list(assembled.cdata) == list(ref)
+            assert all(assembled.cdata[key].tobytes() == c.tobytes() for key, c in ref.items())
+
+    @pytest.mark.parametrize("bad", [
+        # the (2, 3) surface fails at level 4, the (1, 2) surface at level 10 in fill order: both the stack and
+        # the one-at-a-time solves meet the (2, 3) failure first, and the assembly reports the (1, 2) one
+        {(1, 2): (4, 5), (2, 3): (1, 2)},
+        {(1, 3): (6, 2), (2, 3): (0, 3)},
+        {(1, 3): (3, 3)},
+    ], ids=["first-and-last", "second-and-last", "second"])
+    def test_first_failing_surface_in_call_order(self, bad):
+        spec = SphericalOracle().surface_spec(0.05, 0.4)
+        for pair, site in bad.items():
+            spec.gamma[pair] = spec.gamma[pair].copy()
+            spec.gamma[pair][site] = np.nan
+        errors = []
+        for assemble in (orthosys_assemble, frame_reference.coordinate_surfaces, orthogonal._stacked_surfaces):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(DomainViolation) as err:
+                    assemble(spec)
+            e = err.value
+            errors.append((e.site, e.direction, type(e.cause), str(e.cause), str(e)))
+        new, ref, stacked = errors
+        first = min(bad)
+        assert new == ref and ref[0] == tuple(k * spec.eps for k in bad[first])
+        # the stack names the failure that comes first in fill order
+        assert stacked[0] == tuple(k * spec.eps for k in min(bad.values(), key=lambda site: (sum(site), site)))
 
     def test_no_step_call_owns_psi(self, monkeypatch):
         owned, inner = [], FrameSurfaceSystem.step
@@ -688,8 +739,8 @@ class TestRibaucour:
 
     @pytest.mark.parametrize("seed,nan_column,match", [
         ([0.0, 0.0], None, "coincides with the curve start"),
-        # a nan fails each gate of the seed data
-        ([np.nan, 0.0], None, "coincides with the curve start"),
+        # a nan seed has its own message; a nan in the frame fails each gate of the seed data
+        ([np.nan, 0.0], None, "transform seed is not finite"),
         ([0.5, 0.5], 0, "admissible set"),
         ([0.5, 0.5], 1, "points against the frame slot"),
     ], ids=["at-start", "nan-seed", "nan-beta", "nan-slot"])
@@ -700,6 +751,20 @@ class TestRibaucour:
         axis = CurveData(np.arange(5) * 0.1, np.ones(5), np.zeros((5, 2)))
         with pytest.raises(OutsideDomain, match=match):
             ribaucour_data(ALG2, axis, np.zeros(5), np.zeros(2), np.array(seed), psi0, (1, 2), 0.1)
+
+    @pytest.mark.parametrize("seed", [[np.nan, 0.0], [0.55, np.inf]])
+    @pytest.mark.parametrize("given_frame", [False, True])
+    def test_non_finite_seed_rejected_before_the_read_off(self, monkeypatch, seed, given_frame):
+        def read_off(*args, **kwargs):
+            raise AssertionError("the curve was read off for a non-finite seed")
+
+        monkeypatch.setattr(orthogonal, "read_off_curve", read_off)
+        psi0 = suited_frame(ALG2, np.zeros(2), [np.array([1.0, 0]), np.array([0.0, 1])]) if given_frame else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutsideDomain, match="^transform seed is not finite$"):
+                ribaucour_solve(ALG2, line_curve(np.zeros(2), np.array([1.0, 0.0])), lambda t: -1.0,
+                                np.array(seed), np.pi / 40, 0.5, psi0=psi0)
 
     def test_tangential_seed_rejected(self):
         psi0 = suited_frame(ALG2, np.zeros(2), [np.array([1.0, 0]), np.array([0.0, 1])])

@@ -17,6 +17,7 @@ from dlame.lattice import MeshSpec, _fill_plan, _signature, consistency_residual
 from dlame.oracles import EllipticOracle, SphericalOracle, csurface_data_from_oracle
 from dlame.orthogonal import FrameSurfaceSystem, csurface_solve, orthosys_assemble, ribaucour_pair_3d, ribaucour_solve
 
+import goursat_reference
 import step_reference as ref
 from conftest import random_surface_state
 from test_goursat_plan import planned_rows, reference_rows
@@ -28,10 +29,13 @@ REFERENCE_SYSTEMS = [(conjugate, "ConjugateSystem", ref.ReferenceConjugateSystem
 
 def _solves(run, patches, solve):
     """Every Goursat solve that run() makes, as (system class, step-call rows,
-    fields), through `solve` and with the package's systems replaced per `patches`."""
+    fields), through `solve` and with the package's systems replaced per `patches`;
+    the problems of a stacked solve count as solves of their own."""
     solves = []
 
     def recording(system, mesh, data, request=None):
+        if goursat_reference.problems(system, data) is not None:  # a stacked solve, problem by problem
+            return goursat_reference.by_problem(recording, system, mesh, data, request)
         fields, rows = solve(system, mesh, data, request)
         solves.append((type(system).__name__, rows, {name: f.values for name, f in fields.items()}))
         return fields
