@@ -201,27 +201,28 @@ class FrameSurfaceSystem(HyperbolicSystem):
         s = np.asarray(vals["split"], dtype=float)
         n1sq = _normal_sq(eps[0], b1, d1 - 1)
         n2sq = _normal_sq(eps[1], b2, d2 - 1)
-        with np.errstate(invalid="ignore"):
-            n1 = np.sqrt(n1sq)
-            n2 = np.sqrt(n2sq)
         beta12 = b2[..., d1 - 1]
         beta21 = b1[..., d2 - 1]
         theta = 0.5 * (b1[..., self._rest] * b2[..., self._rest]).sum(axis=-1)
         e = eps[0]
-        if self.splitting == "gamma":
-            rho12 = e * n1 * beta12 - e * e / 2.0 * (theta - s)
-            rho21 = e * n2 * beta21 - e * e / 2.0 * (theta + s)
-        else:
-            rho21 = e * s
-            rho12 = n1 * beta12 + e * (n2 * beta21 - theta - s)
-        nsq = 1.0 - rho12 * rho21
-        gates = [
-            (~(n1sq > 0.0), _too_coarse),
-            (~(n2sq > 0.0), _outside_admissible_set if self.splitting == "alpha" else _too_coarse),
-            (~(nsq > 0.0), lambda row: SqrtDomain("normalizer n^2 = 1 - rho12 rho21 left the positive domain")),
-            (~(np.abs(-(rho12 + rho21) / 2.0 - 1.0) >= TOL.line_circle),
-             lambda row: DegenerateCircle("elementary circle degenerated to a line")),
-        ]
+        # a non-finite or out-of-domain entry gives nan here, which its gate reports
+        with np.errstate(invalid="ignore", over="ignore"):
+            n1 = np.sqrt(n1sq)
+            n2 = np.sqrt(n2sq)
+            if self.splitting == "gamma":
+                rho12 = e * n1 * beta12 - e * e / 2.0 * (theta - s)
+                rho21 = e * n2 * beta21 - e * e / 2.0 * (theta + s)
+            else:
+                rho21 = e * s
+                rho12 = n1 * beta12 + e * (n2 * beta21 - theta - s)
+            nsq = 1.0 - rho12 * rho21
+            gates = [
+                (~(n1sq > 0.0), _too_coarse),
+                (~(n2sq > 0.0), _outside_admissible_set if self.splitting == "alpha" else _too_coarse),
+                (~(nsq > 0.0), lambda row: SqrtDomain("normalizer n^2 = 1 - rho12 rho21 left the positive domain")),
+                (~(np.abs(-(rho12 + rho21) / 2.0 - 1.0) >= TOL.line_circle),
+                 lambda row: DegenerateCircle("elementary circle degenerated to a line")),
+            ]
         if rows is not True:  # the entries outside `rows` are not gated, and their n may be garbage
             gates, nsq = [(bad & rows, err) for bad, err in gates], np.where(rows, nsq, 1.0)
         raise_first([*gates, *checks])
@@ -289,13 +290,15 @@ class CurveData:
 
 def _lift_nodes(alg: Algebra, curve: SmoothCurve, t: np.ndarray):
     """Lifted points, unit tangents v_d, transport vectors a and speeds h at the
-    parameters t (K,) in one stacked evaluation; the first node of t whose
-    speed vanishes raises."""
+    parameters t (K,) in one stacked evaluation; the first node of t that is not
+    finite or whose speed vanishes raises."""
     x, dx, d2x = curve.x(t), curve.dx(t), curve.d2x(t)
     h = np.linalg.norm(dx, axis=-1)
-    slow = np.flatnonzero(h < 1e-12)
-    if len(slow):
-        raise ImmersionFailure(f"curve speed vanished at t={float(t[slow[0]])}")
+    raise_first([
+        (~(np.isfinite(x) & np.isfinite(dx) & np.isfinite(d2x)).all(axis=-1),
+         lambda k: ImmersionFailure(f"curve is not finite at t={float(t[k])}")),
+        (~(h >= 1e-12), lambda k: ImmersionFailure(f"curve speed vanished at t={float(t[k])}")),
+    ])
     dh = np.sum(dx * d2x, axis=-1) / h
     c = np.sum(dx * dx, axis=-1) + np.sum(x * d2x, axis=-1)
     dxhat = alg.tangent_lift(x, dx)
@@ -325,9 +328,13 @@ def read_off_curve(
     The companion rows V obey the linear ODE V' = V B(t), B = -(eta a) v_d^T,
     so one RK4 substep is exactly V <- V P with
     P = I + dt/6 (C1 + 2 C2 + 2 C3 + C4), C1 = B(t), C2 = (I + dt/2 C1) B(t + dt/2),
-    C3 = (I + dt/2 C2) B(t + dt/2), C4 = (I + dt C3) B(t + dt).  Every lift and
-    every P comes from one stacked evaluation; only V P, the orthonormality
-    gate and the re-orthonormalization run substep by substep.
+    C3 = (I + dt/2 C2) B(t + dt/2), C4 = (I + dt C3) B(t + dt).  The projection
+    off the lifted point, e_inf and v_d at the substep end is a right factor Pi
+    too, and Gram-Schmidt a lower-triangular left factor with a positive
+    diagonal; the two commute, so after substep k the rows are exactly
+    GS(V_0 G_1 ... G_k) with G = P Pi.  Every lift, P and G comes from one
+    stacked evaluation; only the running product runs substep by substep, and
+    one Gram-Schmidt pass and one orthonormality gate cover every substep.
     """
     samples = np.asarray(samples, dtype=float)
     d = direction
@@ -344,7 +351,8 @@ def read_off_curve(
         pre += 1
     times = [0.0, *samples[:pre]]
     sample_nodes = list(range(1, pre + 1))
-    begin, mid, dts, sample_steps = [], [], [], set()
+    # sample_rows[i]: the number of substeps taken when sample i is read
+    begin, mid, dts, sample_rows = [], [], [], [0] * pre
     t = 0.0
     for target in samples[pre:]:
         nsub = max(1, int(math.ceil((target - t) / substep - 1e-12)))
@@ -356,19 +364,22 @@ def read_off_curve(
             times += [t + dt / 2, t + dt]
             t += dt
         t = target
-        sample_steps.add(len(dts) - 1)
+        sample_rows.append(len(dts))
         sample_nodes.append(len(times))
         times.append(target)
 
     times = np.array(times)
     xhat, vd, a, h = _lift_nodes(alg, curve, times)
     psi0 = np.asarray(psi0, dtype=float)
+    if not np.isfinite(psi0).all():
+        raise DegenerateBasis("initial frame is not finite")
     if np.max(np.abs(psi0 @ alg.e0 - xhat[0])) > 1e-8 * (1 + np.abs(xhat[0]).max()):
         raise DegenerateBasis("initial frame does not sit at the start of the curve")
     if np.max(np.abs(psi0[:, d - 1] - vd[0])) > 1e-8:
         raise DegenerateBasis("initial frame is not aligned with the curve tangent")
 
-    eta_a = a * alg._metric
+    eta = alg._metric
+    eta_a = a * eta
     B = -eta_a[:, :, None] * vd[:, None, :]
     mid = np.array(mid, dtype=int)
     dt = np.array(dts)[:, None, None]
@@ -378,28 +389,28 @@ def read_off_curve(
     C3 = (eye + dt / 2 * C2) @ B[mid]
     C4 = (eye + dt * C3) @ B[mid + 1]
     P = eye + dt / 6 * (C1 + 2 * C2 + 2 * C3 + C4)
+    # G = P Pi: Pi projects off the lifted point and e_inf, then off v_d, at the substep end
+    x_end, v_end = xhat[mid + 1], vd[mid + 1]
+    off_point = eye + 2.0 * (eta * alg.einf)[:, None] * x_end[:, None, :] + 2.0 * (eta * x_end)[:, :, None] * alg.einf
+    G = P @ off_point @ (eye - (eta * v_end)[:, :, None] * v_end[:, None, :])
 
-    V = psi0[:, others].T.copy()
-    V_at = [V] * pre
-    gram_eye = np.eye(len(others))
-    for k, end in enumerate(mid + 1):
-        V = V @ P[k]
-        if np.max(np.abs(V * alg._metric @ V.T - gram_eye)) > 1e-6:
-            raise FrameDrift("companion frame lost orthonormality")
-        # project off the lifted point, e_inf and the tangent, then Gram-Schmidt
-        V = (V - (-2.0 * alg.dot_einf(V))[:, None] * xhat[end]
-             - (-2.0 * alg.lorentz_dot(V, xhat[end]))[:, None] * alg.einf)
-        V = V - alg.lorentz_dot(V, vd[end])[:, None] * vd[end]
-        for r in range(len(V)):
+    # V[k] = V_0 G_1 ... G_k, then Gram-Schmidt in place; W[k] = V[k] P_(k+1) is gated
+    V = np.empty((len(G) + 1, len(others), alg.dim))
+    V[0] = psi0[:, others].T
+    with np.errstate(all="ignore"):  # values past a drift are garbage that the gate reports
+        for k in range(len(G)):
+            np.matmul(V[k], G[k], out=V[k + 1])
+        for r in range(len(others)):
             for s in range(r):
-                V[r] = V[r] - alg.lorentz_dot(V[r], V[s]) * V[s]
-            V[r] = V[r] / math.sqrt(alg.lorentz_dot(V[r], V[r]))
-        if k in sample_steps:
-            V_at.append(V)
+                V[1:, r] -= alg.lorentz_dot(V[1:, r], V[1:, s])[:, None] * V[1:, s]
+            V[1:, r] /= np.sqrt(alg.lorentz_dot(V[1:, r], V[1:, r]))[:, None]
+        W = V[:-1] @ P
+        drift = np.max(np.abs(W * eta @ np.swapaxes(W, -1, -2) - np.eye(len(others))), axis=(-2, -1))
+    if not (drift <= 1e-6).all():
+        raise FrameDrift("companion frame lost orthonormality")
 
-    V_at = np.reshape(V_at, (len(samples), len(others), alg.dim))
     beta = np.zeros((len(samples), alg.n))
-    beta[:, others] = -np.sum(V_at * eta_a[sample_nodes][:, None, :], axis=-1)
+    beta[:, others] = -np.sum(V[sample_rows] * eta_a[sample_nodes][:, None, :], axis=-1)
     return CurveData(samples.copy(), h[sample_nodes], beta)
 
 

@@ -11,6 +11,7 @@ from dlame.circles import circularity_residual, circularity_residual_batch, miqu
 from dlame.clifford import algebra
 from dlame.curves import circle_curve, line_curve, warped_circle_curve
 from dlame.errors import (
+    DegenerateCircle,
     DomainViolation,
     ImmersionFailure,
     OutsideDomain,
@@ -323,6 +324,20 @@ class TestFrameTransport:
         assert new == ref and ref[0] == tuple(k * spec.eps for k in bad[first])
         # the stack names the failure that comes first in fill order
         assert stacked[0] == tuple(k * spec.eps for k in min(bad.values(), key=lambda site: (sum(site), site)))
+
+    @pytest.mark.parametrize("mode", ["error", "default"])
+    def test_infinite_splitting_value_fails_its_gate_without_a_warning(self, mode):
+        # rho12 + rho21 is inf - inf at that site: the line-circle gate must report it,
+        # with warnings as errors too, where the warning used to be the exception
+        spec = SphericalOracle().surface_spec(0.05, 0.4)
+        spec.gamma[(2, 3)] = spec.gamma[(2, 3)].copy()
+        spec.gamma[(2, 3)][5, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter(mode)
+            with pytest.raises(DomainViolation) as err:
+                orthosys_assemble(spec)
+        assert err.value.site == (5 * spec.eps, 1 * spec.eps)
+        assert isinstance(err.value.cause, DegenerateCircle)
 
     def test_no_step_call_owns_psi(self, monkeypatch):
         owned, inner = [], FrameSurfaceSystem.step
