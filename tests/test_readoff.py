@@ -247,11 +247,8 @@ def _broken_past(curve, t_bad, value):
     (0.25, "curve speed vanished at t=0.25"),
 ])
 def test_non_finite_curve_names_the_first_bad_node(value, stall, message):
-    curve = _cubic_stall(stall) if stall is not None else BUILDERS["warped2"]()
-    curve = _broken_past(curve, 0.5, value)
-    psi0 = suited_frame(ALG2, curve.x(0.0), [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    if stall is None:
-        psi0 = _suited(ALG2, curve)
+    curve = _broken_past(_cubic_stall(stall) if stall is not None else BUILDERS["warped2"](), 0.5, value)
+    psi0 = _suited(ALG2, curve)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         kind, got = _raised(read_off_curve, ALG2, curve, psi0, 1, np.linspace(0.0, 1.0, 5))
