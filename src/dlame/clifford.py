@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import TOL
-from .errors import AtInfinity, DegenerateBasis, NonVectorResult, NullVector
+from .errors import AtInfinity, DegenerateBasis, NonVectorResult
 
 __all__ = [
     "Algebra",
@@ -78,7 +78,6 @@ class Algebra:
                 sign[a, b] = s
         grades = np.array([a.bit_count() for a in range(size)])
         object.__setattr__(self, "_sign", sign)
-        object.__setattr__(self, "_grades", grades)
         object.__setattr__(self, "_rev", np.where(grades * (grades - 1) // 2 % 2, -1.0, 1.0))
         cols = np.arange(size)
         left_idx = cols[:, None] ^ cols[None, :]
@@ -127,17 +126,6 @@ class Algebra:
     def reverse(self, mv: np.ndarray) -> np.ndarray:
         return mv * self._rev
 
-    def parity(self, mv: np.ndarray) -> str:
-        """'even', 'odd' or 'mixed' according to the grade support of mv."""
-        bound = TOL.algebra * (np.max(np.abs(mv)) or 1.0)
-        even = np.max(np.abs(mv[..., self._grades % 2 == 1])) <= bound
-        odd = np.max(np.abs(mv[..., self._grades % 2 == 0])) <= bound
-        if even and not odd:
-            return "even"
-        if odd and not even:
-            return "odd"
-        return "mixed"
-
     # -- Lorentz geometry ----------------------------------------------------
 
     def basis_vector(self, k: int) -> np.ndarray:
@@ -150,13 +138,6 @@ class Algebra:
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         return np.sum(u * v * self._metric, axis=-1)
-
-    def invert_vector(self, u: np.ndarray) -> np.ndarray:
-        """Inverse -u/<u,u> of a non-null vector, as coordinates."""
-        s = self.lorentz_dot(u, u)
-        if abs(s) < TOL.algebra:
-            raise NullVector("vector is on the light cone, no inverse")
-        return -np.asarray(u, dtype=float) / s
 
     def pin_inverse(self, psi: np.ndarray) -> np.ndarray:
         """Inverse of a pin-group element (psi times its reverse is +-1)."""
@@ -246,10 +227,6 @@ class Algebra:
         return out
 
     # -- frames ---------------------------------------------------------------
-
-    def euclid_pin_defect(self, psi: np.ndarray) -> float:
-        """Drift of psi from the Euclidean pin group: |A_psi(einf) - einf|."""
-        return float(np.max(np.abs(self.adjoint(psi, self.einf) - self.einf)))
 
     def normalize_pin_sign(self, psi: np.ndarray) -> np.ndarray:
         idx = int(np.argmax(np.abs(psi)))

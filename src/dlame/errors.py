@@ -41,10 +41,6 @@ class ConfigError(DLameError):
 
 # -- algebra layer ----------------------------------------------------------
 
-class NullVector(DLameError):
-    """Attempt to invert a vector on (or numerically too close to) the light cone."""
-
-
 class NonVectorResult(DLameError):
     """An adjoint action produced significant non-grade-1 mass; the frame is corrupted."""
 

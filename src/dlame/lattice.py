@@ -78,9 +78,6 @@ class MeshSpec:
     def coords(self, idx: Sequence[int]) -> tuple[float, ...]:
         return tuple(i * e for i, e in zip(idx, self.eps))
 
-    def axis_coords(self, direction: int) -> np.ndarray:
-        return np.arange(self.npts[direction]) * self.eps[direction]
-
     def shrink(self, direction: int) -> "MeshSpec":
         npts = list(self.npts)
         npts[direction] -= 1

@@ -48,6 +48,7 @@ from .config import TOL
 from .conjugate import extract_rotation_coeffs, quad_stack, solve_conjugate_net
 from .curves import SmoothCurve
 from .errors import (
+    ConfigError,
     DegenerateBasis,
     DegenerateCircle,
     DLameError,
@@ -119,10 +120,10 @@ def _outside_admissible_set(row):
     return OutsideDomain("transform data left the admissible set (sum beta^2 >= 4)")
 
 
-def normal_factor(eps, beta: np.ndarray, skip) -> np.ndarray:
-    """N_i = sqrt(1 - eps^2/4 * sum_{k != skip} beta_k^2); raises SqrtDomain."""
+def normal_factor(eps, beta: np.ndarray, skip, checks=()) -> np.ndarray:
+    """N_i = sqrt(1 - eps^2/4 * sum_{k != skip} beta_k^2); raises SqrtDomain, then the `raise_first` `checks`."""
     val = _normal_sq(eps, beta, skip)
-    raise_first([(~(val > 0.0), _too_coarse)])
+    raise_first([(~(val > 0.0), _too_coarse), *checks])
     return np.sqrt(val)
 
 
@@ -230,9 +231,9 @@ class FrameSurfaceSystem(HyperbolicSystem):
 
     def step(self, direction, vals, eps, outputs=None, sources=None):
         """Step each entry in its direction (an int array that broadcasts against the batch
-        axes); h_i and b_i hold nan in the entries stepping in direction i.  An entry
-        is gated on the splitting if it owns h or b, else on N_a^2 > 0.  The rule has no
-        per-site work to share, so it ignores `sources`."""
+        axes); h_i and b_i hold nan in the entries stepping in direction i.  An entry is gated
+        on the splitting if it owns h or b, else on N_a^2 > 0, then on the h it reads being
+        finite.  The rule has no per-site work to share, so it ignores `sources`."""
         want = {"psi", "h1", "h2", "b1", "b2"} if outputs is None else set(outputs)
         # a = the step direction, b = the other one; first: the entries with a = 0
         a, e = np.asarray(direction), np.asarray(eps, dtype=float)
@@ -243,25 +244,31 @@ class FrameSurfaceSystem(HyperbolicSystem):
         def pick(v1, v2, k=0):
             return np.where(first[(...,) + (None,) * k], v1, v2)
 
-        h_a, beta_a, slot = pick(h1, h2), pick(b1, b2, 1), pick(d1 - 1, d2 - 1)
-        out = {}
+        h_a, beta_a, slot, hb = pick(h1, h2), pick(b1, b2, 1), pick(d1 - 1, d2 - 1), pick(h2, h1)
+        out, checks = {}, []
+        if not (np.isfinite(h_a).all() and np.isfinite(hb).all()):
+            # a row reads h_a if it owns psi or h, and h_b if it owns h
+            own = {name: outputs[name] if isinstance(outputs, Mapping) else True for name in want}
+            own_h = own.get("h1", False) | own.get("h2", False)
+            checks.append(((own_h | own.get("psi", False)) & ~np.isfinite(h_a) | own_h & ~np.isfinite(hb),
+                           lambda row: ImmersionFailure("metric coefficient h is not finite")))
         transport = not want.isdisjoint(("h1", "h2", "b1", "b2"))
         if transport:
-            gated, checks = True, []
+            gated = True
             if "psi" in want and isinstance(outputs, Mapping):
                 # the rows that own h or b are gated on the splitting, the others on N_a^2 > 0 alone
                 gated = np.logical_or.reduce([outputs[name] for name in ("h1", "h2", "b1", "b2") if name in want])
                 alone = outputs["psi"] & ~gated
                 if alone.any():
-                    checks.append((~(_normal_sq(ea, beta_a, slot) > 0.0) & alone, _too_coarse))
+                    checks.insert(0, (~(_normal_sq(ea, beta_a, slot) > 0.0) & alone, _too_coarse))
             rho12, rho21, n, n1, n2 = self.splitting_rhos(vals, eps, gated, checks)
             rho_ab, n_a = pick(rho12, rho21), pick(n1, n2)
         if "psi" in want:
             if not transport:
-                n_a = normal_factor(ea, beta_a, slot)
+                n_a = normal_factor(ea, beta_a, slot, checks)
             out["psi"] = np.asarray(vals["psi"], dtype=float) @ _step_factor(self.alg, slot + 1, ea, h_a, beta_a, n_a)
         if transport:
-            hb, bb, bd = pick(h2, h1), pick(b2, b1, 1), pick(b2[..., d1 - 1], b1[..., d2 - 1])
+            bb, bd = pick(b2, b1, 1), pick(b2[..., d1 - 1], b1[..., d2 - 1])
             r_ab, r_n = rho_ab / (eb * n), (1.0 - n) / (ea * n)
             new_h = hb + ea * (r_ab * h_a + r_n * hb)
             new_b = _put(bb, slot, bd + ea * (2.0 * n_a * rho_ab / (e[0] * e[1] * n) - (1.0 + n) / (ea * n) * bd))
@@ -337,11 +344,15 @@ def read_off_curve(
     one Gram-Schmidt pass and one orthonormality gate cover every substep.
     """
     samples = np.asarray(samples, dtype=float)
+    if not np.isfinite(samples).all():
+        raise ConfigError("samples must be finite")
+    if substep is not None and not substep > 0.0:
+        raise ConfigError(f"substep must be positive, got {substep!r}")
     d = direction
     others = [k for k in range(alg.n) if k != d - 1]
     if substep is None:
-        gaps = np.diff(samples)
-        substep = float(np.min(gaps[gaps > 0]) / 4.0) if len(gaps) else 0.25
+        gaps = np.diff(samples)[np.diff(samples) > 0]
+        substep = float(np.min(gaps) / 4.0) if len(gaps) else 0.25
 
     # lift nodes in the order the integrator visits them: the start, the
     # samples at (or numerically before) it, then per later sample the
@@ -482,17 +493,19 @@ class CSurfaceResult:
 def csurface_solve(data: CSurfaceData) -> CSurfaceResult:
     """Solve the two-dimensional frame system from axis data and a splitting field.
 
-    The metric and rotation coefficients h, beta form a closed system, which
-    the Goursat driver fills level by level; the frame never feeds back into
-    it and is transported afterwards, along the first row in the second
-    direction and then along every column in the first one.  A transform
-    solve (alpha splitting) computes only the h1, b1 that frame steps read:
-    values on the transform layer that would describe a second, unspecified
-    transform are left nan instead of being propagated from placeholder data.
+    The metric and rotation coefficients h, beta form a closed system; the
+    frame never feeds back into it and is transported afterwards, along the
+    first row in the second direction and then along every column in the
+    first one.  A surface solve (gamma splitting) fills h, beta with the
+    Goursat driver, level by level.  A transform solve (alpha splitting)
+    computes only the h1, b1 that frame steps read, by one recurrence along
+    each transform layer (see `_coefficients`): values on the transform layer
+    that would describe a second, unspecified transform are left nan instead
+    of being propagated from placeholder data.
 
-    A failed domain gate is reported as the level-by-level solve of frame,
-    h and beta together reports it: the first failing (site, direction) in
-    fill order.
+    A failed fill (DomainViolation) or transport (SqrtDomain) hands over to the
+    level-by-level solve of frame, h and beta together, which reports the
+    first failing (site, direction) in fill order.
     """
     alg = data.alg
     tail = 1 if data.splitting == "alpha" else 0
@@ -521,17 +534,54 @@ def _coefficients(system: FrameSurfaceSystem, mesh: MeshSpec, data) -> dict[str,
     """Fields of a frame solve with h and beta filled where the frame steps read them, psi
     holding its Goursat datum only.  The surface splitting fills h1, h2, b1, b2 on the
     whole box.  The transform splitting fills h1, b1 (and the h2, b2 they read) on the
-    box minus its last base row, and keeps only its Goursat data on the rest."""
+    box minus its last base row, and keeps only its Goursat data on the rest: the Goursat
+    driver's values, bitwise, with one step call per transform layer where the driver makes
+    one per site.  `_carry` takes h2, b2 along the layer, then a step in direction 1 on all
+    its sites gates them and fills the next layer's h1, b1.  A failure raises DomainViolation
+    at the first failing site of its layer (the layer's first site if no gate names one)."""
     if system.splitting == "gamma":
         return goursat_solve(system, mesh, data, request=("h1", "h2", "b1", "b2"))
     fields, n = goursat_solve(system, mesh, data, request=()), mesh.npts[0] - 1
-    if n:
-        part = goursat_solve(system, MeshSpec(mesh.eps, (n,) + mesh.npts[1:], mesh.tail),
-                             {name: v[:n] if 0 in system.component(name).static else v
-                              for name, v in data.items()}, request=("h1", "b1"))
-        for name in ("h1", "b1", "h2", "b2"):
-            fields[name].values[:n] = part[name].values
+    v = {name: fields[name].values[:n] for name in ("h1", "h2", "b1", "b2", "split")}
+    for j in range(mesh.npts[1] - 1 if n else 0):
+        _carry(system, mesh.eps, *(v[name][:-1, j].tolist() for name in ("h1", "b1", "split")),
+               v["h2"][:, j], v["b2"][:, j])
+        try:
+            out = system.step(1, {name: a[:, j] for name, a in v.items()}, mesh.eps, outputs=("h1", "b1"))
+        except Exception as exc:  # charged as the Goursat driver charges a failed level call
+            raise DomainViolation(mesh.coords((getattr(exc, "row", None) or 0, j)), 1, exc) from exc
+        v["h1"][:, j + 1], v["b1"][:, j + 1] = out["h1"], out["b1"]
     return fields
+
+
+def _carry(system: FrameSurfaceSystem, eps, h1, b1, split, h2: np.ndarray, b2: np.ndarray) -> None:
+    """Fill h2[i + 1], b2[i + 1] from h2[i], b2[i] and the lists h1[i], b1[i], split[i] by the
+    transform step in direction 0, on plain floats in the expression order of `splitting_rhos`
+    and `step`.  The caller's step call gates every site; a square root or division out of its
+    domain, where those gates fail, stops the fill and leaves nan."""
+    (s1, s2), rest, (e1, e2) = (d - 1 for d in system.dirs), np.flatnonzero(system._rest).tolist(), map(float, eps)
+    h, b = float(h2[0]), b2[0].tolist()
+    for i, (ha, ba, s) in enumerate(zip(h1, b1, split)):
+        sq1 = sq2 = theta = 0.0
+        for k in range(len(b)):
+            if k != s1:
+                sq1 += ba[k] * ba[k]
+            if k != s2:
+                sq2 += b[k] * b[k]
+        for k in rest:
+            theta += ba[k] * b[k]
+        try:
+            n1, n2 = math.sqrt(1.0 - e1 * e1 / 4.0 * sq1), math.sqrt(1.0 - e2 * e2 / 4.0 * sq2)
+            rho12 = n1 * b[s1] + e1 * (n2 * ba[s2] - 0.5 * theta - s)
+            n = math.sqrt(1.0 - rho12 * (e1 * s))
+            r_ab, r_n = rho12 / (e2 * n), (1.0 - n) / (e1 * n)
+            b[s1] += e1 * (2.0 * n1 * rho12 / (e1 * e2 * n) - (1.0 + n) / (e1 * n) * b[s1])
+        except (ValueError, ZeroDivisionError):
+            return
+        h += e1 * (r_ab * ha + r_n * h)
+        for k in rest:
+            b[k] += e1 * (r_n * b[k] + r_ab * ba[k])
+        h2[i + 1], b2[i + 1] = h, b
 
 
 def frame_points(alg: Algebra, psi_values: np.ndarray) -> np.ndarray:

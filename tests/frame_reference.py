@@ -8,6 +8,12 @@ N_a^2 > 0 alone.  The differential tests in test_orthogonal.py hold the
 transported frame to bitwise-equal fields, nan patterns and `DomainViolation`
 reports against it.
 
+`coefficients` is `orthogonal._coefficients` as it was before a transform
+(alpha splitting) solve carried h2, b2 along each transform layer on plain
+floats: the Goursat driver's demand-driven solve of h1, b1 on the box minus
+its last base row, one level call per site.  The transform tests hold the
+recurrence to bitwise-equal fields and nan patterns against it.
+
 `coordinate_surfaces` is the surface stage of `orthogonal.orthosys_assemble`
 as it was before the three coordinate surfaces were solved as one stack: one
 solve per surface (i, j) in `itertools.combinations` order, each followed by
@@ -36,6 +42,20 @@ def csurface_solve(data: CSurfaceData) -> CSurfaceResult:
                                                               ("h1", "b1", "h2", "b2", "split")}}, request=request)
     x = frame_points(alg, fields["psi"].values)
     return CSurfaceResult(alg, mesh, data.dirs, data.splitting, fields, x)
+
+
+def coefficients(system, mesh: MeshSpec, data, solve=goursat_solve):
+    """(h, beta) fields of a frame solve, psi holding its Goursat datum only; `solve` is the Goursat driver."""
+    if system.splitting == "gamma":
+        return solve(system, mesh, data, request=("h1", "h2", "b1", "b2"))
+    fields, n = solve(system, mesh, data, request=()), mesh.npts[0] - 1
+    if n:
+        part = solve(system, MeshSpec(mesh.eps, (n,) + mesh.npts[1:], mesh.tail),
+                     {name: v[:n] if 0 in system.component(name).static else v for name, v in data.items()},
+                     request=("h1", "b1"))
+        for name in ("h1", "b1", "h2", "b2"):
+            fields[name].values[:n] = part[name].values
+    return fields
 
 
 def coordinate_surface_data(spec: OrthoSurfaceSpec, i: int, j: int) -> CSurfaceData:

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlame.clifford import algebra
-from dlame.errors import AtInfinity, DegenerateBasis, NullVector
+from dlame.errors import AtInfinity, DegenerateBasis
 
 from conftest import random_frame
 
 ALG2 = algebra(2)
 ALG3 = algebra(3)
+# blades of odd grade, by the bits of their index
+ODD3 = np.array([a.bit_count() % 2 == 1 for a in range(ALG3.size)])
 
 coord = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -109,26 +111,6 @@ class TestGeometricProduct:
         batch = ALG2.geometric_product(a, b)
         for k in range(7):
             assert np.allclose(batch[k], ALG2.geometric_product(a[k], b[k]))
-
-
-class TestInvertVector:
-    def test_unit_vectors(self):
-        e1 = ALG3.basis_vector(1)
-        assert np.allclose(ALG3.invert_vector(e1), -e1)
-        assert np.allclose(ALG3.invert_vector(2.0 * e1), -e1 / 2.0)
-
-    def test_null_vector_rejected(self):
-        with pytest.raises(NullVector):
-            ALG3.invert_vector(ALG3.e0)
-
-    def test_product_with_inverse_is_one(self, rng):
-        for _ in range(20):
-            u = rng.normal(size=ALG3.dim)
-            if abs(ALG3.lorentz_dot(u, u)) < 0.1:
-                continue
-            inv = ALG3.invert_vector(u)
-            prod = ALG3.geometric_product(ALG3.vector(u), ALG3.vector(inv))
-            assert np.max(np.abs(prod - ALG3.scalar(1.0))) < 1e-12
 
 
 class TestAdjoint:
@@ -256,8 +238,9 @@ class TestFrames:
                 assert np.max(np.abs(ALG3.adjoint(psi, ALG3.e0) - xhat)) < 1e-10
                 for k in range(m):
                     assert np.max(np.abs(ALG3.adjoint(psi, ALG3.basis_vector(k + 1)) - basis[k])) < 1e-10
-                assert ALG3.euclid_pin_defect(psi) < 1e-10
-                assert ALG3.parity(psi) == "even"
+                # psi keeps e_inf (Euclidean pin group) and is even: no odd-grade part
+                assert np.max(np.abs(ALG3.adjoint(psi, ALG3.einf) - ALG3.einf)) < 1e-10
+                assert np.max(np.abs(psi[ODD3])) <= 1e-12 * np.max(np.abs(psi))
 
     def test_negatively_oriented_full_basis_rejected(self):
         basis = [ALG2.basis_vector(2), ALG2.basis_vector(1)]

@@ -21,6 +21,7 @@ from dlame.lattice import Component, HyperbolicSystem, MeshSpec, _fill_plan, _si
 from dlame.oracles import EllipticOracle, SphericalOracle, csurface_data_from_oracle
 from dlame.orthogonal import FrameSurfaceSystem, csurface_solve, ribaucour_pair_3d, ribaucour_solve
 
+import frame_reference
 import goursat_reference
 from test_lattice import LinearSystem, ScalarSiteGate, SiteGate
 
@@ -124,6 +125,24 @@ def differential(monkeypatch):
     return solves
 
 
+@pytest.fixture
+def alpha_fill(monkeypatch, differential):
+    """Hold every transform (h, beta) fill to the Goursat solve it replaced, through solve_both
+    (and so the reference driver): bitwise-equal fields, nan patterns included."""
+    inner = orthogonal._coefficients
+
+    def checked(system, mesh, data):
+        new = inner(system, mesh, data)
+        if system.splitting == "alpha":
+            assert_same_fields(new, frame_reference.coefficients(system, mesh, data, solve=solve_both))
+            fills.append(mesh.npts)
+        return new
+
+    fills = []
+    monkeypatch.setattr(orthogonal, "_coefficients", checked)
+    return fills
+
+
 def _spherical_pair_inputs(eps=0.1, r=0.4):
     oracle = SphericalOracle()
     spec = oracle.surface_spec(eps, r)
@@ -224,19 +243,22 @@ class TestAgainstReferenceDriver:
         assert not any(np.isnan(f.values).any() for f in full.values())
         assert not np.isnan(part["x"].values).any()
 
-    def test_conjugate_tail_direction(self, differential):
+    def test_conjugate_tail_direction(self, differential, alpha_fill):
         # orthosys assembly (frame surfaces, requested x) plus the tail-direction
         # bulk solve and the per-axis alpha-splitting transform solves
         spec, seed = _spherical_pair_inputs()
         ribaucour_pair_3d(spec, {i: (lambda t: -1.0) for i in (1, 2, 3)}, seed)
-        assert None in differential and ("x",) in differential and ("h1", "b1") in differential
+        assert None in differential and ("x",) in differential
+        # each transform solve lays out its Goursat data; the recurrence fills h1, b1 without the driver
+        assert differential.count(()) == len(alpha_fill) == 3 and ("h1", "b1") not in differential
 
-    def test_frame_surface_gamma_and_alpha(self, differential):
+    def test_frame_surface_gamma_and_alpha(self, differential, alpha_fill):
         csurface_solve(csurface_data_from_oracle(EllipticOracle(), np.pi / 40, 4 * np.pi / 10))
         ribaucour_solve(algebra(2), warped_circle_curve(1.0, 0.3), lambda t: -1.0 + 0.3 * np.sin(t),
                         np.array([0.55, 0.0]), np.pi / 40, 0.5)
-        # h and beta alone; a transform solve fills its Goursat data, then h1, b1 short of the last base row
-        assert differential == [("h1", "h2", "b1", "b2"), (), ("h1", "b1")]
+        # h and beta alone; a transform solve lays out its Goursat data, and its h1, b1 short of the
+        # last base row are held to the Goursat solve of that box
+        assert differential == [("h1", "h2", "b1", "b2"), ()] and len(alpha_fill) == 1
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_two_groups_failing_at_one_site(self, batched):
@@ -306,14 +328,14 @@ class TestFusedLevels:
         assert len(calls) == 48
         assert sum(calls) == 3 * 16 ** 3 + 3 * 2 * 16 ** 2 + 3 * 16
 
-    def test_ribaucour_psi_request(self, differential):
+    def test_ribaucour_psi_request(self, differential, alpha_fill):
         # a transform solve steps h1, b1 on the box minus its last base row, and transports the frame after
         alg, curve, seed, eps, r = algebra(2), warped_circle_curve(1.0, 0.3), np.array([0.55, 0.0]), np.pi / 40, 0.5
         alpha = lambda t: -1.0 + 0.3 * np.sin(t)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = ribaucour_solve(alg, curve, alpha, seed, eps, r)
-        assert differential == [(), ("h1", "b1")]
+        assert differential == [()] and alpha_fill == [res.result.mesh.npts]
         # the last base site leaves N_1^2 > 0: the row stepping it in 0 owns psi alone, the one
         # stepping it in 1 owns h1 and b1
         psi0 = res.result.fields["psi"].values[0, 0]

@@ -185,9 +185,14 @@ class TestBatchedFrameSolve:
         systems = record_systems(monkeypatch, orthogonal, "FrameSurfaceSystem", PerSiteFrameSystem)
         res = solve()
         _same_fields(batched, res.fields)
-        # h1 and b1 on the box minus its last base row; the frame is transported after the solve
-        part = MeshSpec(res.mesh.eps, (res.mesh.npts[0] - 1, 2), tail=1)
-        assert [s.calls for s in systems] == [plan_rows(systems[0], part, ("h1", "b1"))] and systems[0].calls > 0
+        # h1 and b1 on the box minus its last base row, as the per-site Goursat solve fills them
+        f = {name: field.values for name, field in res.fields.items()}
+        data = {"psi": f["psi"][0, 0], "h1": f["h1"][:, 0], "b1": f["b1"][:, 0], "h2": f["h2"][0], "b2": f["b2"][0],
+                "split": f["split"]}
+        per_site = frame_reference.coefficients(PerSiteFrameSystem(ALG3, res.dirs, "alpha"), res.mesh, data)
+        _same_fields({name: per_site[name] for name in ("h1", "h2", "b1", "b2")}, res.fields)
+        # the frame is transported after the solve; the recurrence steps each site of the layer once, in direction 1
+        assert [s.calls for s in systems] == [res.mesh.npts[0] - 1] and systems[0].calls > 0
 
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from(["gamma", "alpha"]),
@@ -235,6 +240,20 @@ def _ribaucour_pair_3d():
     return ribaucour_pair_3d(spec, {i: (lambda t: -1.0) for i in (1, 2, 3)}, seed)
 
 
+def _ribaucour_cli_pair():
+    # `dlame ribaucour --curve warped:1.0 --alpha sinmod:-1.0,0.3 --seed 0.55,0.0 --eps pi/320 --r 1.2`
+    return ribaucour_solve(ALG2, warped_circle_curve(1.0, 0.3), lambda t: -1.0 + 0.3 * np.sin(t),
+                           np.array([0.55, 0.0]), np.pi / 320, 1.2)
+
+
+def _triple_net():
+    # three transforms in R^3: the frame has a slot outside both lattice directions
+    return triple_ribaucour_net(ALG3, warped_circle_curve(1.0, 0.3, dim=3),
+                                [lambda t: -1.0, lambda t: -0.9, lambda t: -1.1],
+                                [np.array([0.55, 0.0, 0.1]), np.array([0.70, -0.1, -0.15]),
+                                 np.array([0.8, 0.05, 0.25])], (1.2, 0.9, 1.4), np.pi / 80, 8 * np.pi / 40)
+
+
 class KinkedTransform(FrameSurfaceSystem):
     """The frame system with the transform-layer b1 stepped from the base site whose alpha is MARK
     set to 3 / eps_1 in every slot, out of N_1^2 > 0; nothing else reads that value."""
@@ -272,9 +291,12 @@ class TestFrameTransport:
         # the three coordinate surfaces are one stacked solve, which makes no csurface_solve call
         (lambda: orthosys_assemble(SphericalOracle().surface_spec(0.025, 0.4)), []),
         (_ribaucour_curve_pair, ["alpha"]),
-        # the stacked coordinate surfaces, then the three curve/transform pair solves
+        (_ribaucour_cli_pair, ["alpha"]),
+        (_triple_net, ["alpha"] * 3),
+        # the stacked coordinate surfaces, then the three curve/transform pair solves (relabelled directions)
         (_ribaucour_pair_3d, ["alpha"] * 3),
-    ], ids=["elliptic-pi/20", "elliptic-pi/160", "spherical-0.025", "ribaucour-pi/40", "pair-3d"])
+    ], ids=["elliptic-pi/20", "elliptic-pi/160", "spherical-0.025", "ribaucour-pi/40", "ribaucour-cli-pi/320",
+            "triple-net", "pair-3d"])
     def test_fields_match_fused_solve(self, monkeypatch, run, splittings):
         solves, inner = [], orthogonal.csurface_solve
 
@@ -400,6 +422,215 @@ class TestFrameTransport:
         data.b2[4, 0] = 3.0 / eps
         new, ref = self._violations(lambda: orthogonal.csurface_solve(data))
         assert new == ref and ref[:3] == ((0.0, 4 * eps), 1, SqrtDomain)
+
+
+# -- the transform recurrence against the level-by-level solve ----------------------
+
+# per domain gate of the splitting: the cause type and the start of its message
+_GATES = {"N1": (SqrtDomain, "mesh too coarse"), "N2": (OutsideDomain, "transform data left"),
+          "n": (SqrtDomain, "normalizer n^2"), "line": (DegenerateCircle, "elementary circle")}
+
+
+def _alpha_strip(rng, N=3, n1=7, n2=2, eps=(0.2, 0.5), dirs=(1, 2)):
+    """Transform Goursat data on an (n1, n2) box, well inside every gate; the frame slots of the
+    two lattice directions hold 0 in b1 and b2 respectively."""
+    b1, b2 = rng.uniform(-0.8, 0.8, (n1, N)), rng.uniform(-0.6, 0.6, (n2, N))
+    b1[:, dirs[0] - 1] = b2[:, dirs[1] - 1] = 0.0
+    return CSurfaceData(alg=algebra(N), psi0=np.eye(N + 2), eps=eps, npts=(n1, n2), dirs=dirs,
+                        h1=rng.uniform(0.5, 1.5, n1), b1=b1, h2=rng.uniform(0.3, 1.0, n2), b2=b2,
+                        split=rng.uniform(-1.0, 1.0, (n1, n2)), splitting="alpha")
+
+
+def _outcome(solve, data, mode):
+    """The solved surface, or (error type, site, direction, cause type, cause message) of what solve(data)
+    raises, with warnings filtered by `mode`."""
+    with warnings.catch_warnings():
+        warnings.simplefilter(mode)
+        try:
+            return solve(data)
+        except DomainViolation as e:
+            return DomainViolation, e.site, e.direction, type(e.cause), str(e.cause)
+        except Exception as e:
+            return type(e), str(e)
+
+
+def _assert_same_outcome(data):
+    """csurface_solve(data) equals the level-by-level solve, with and without warnings as errors:
+    bitwise surfaces, nan patterns included, or the same error.  Returns the reference outcomes."""
+    outcomes = []
+    for mode in ("error", "ignore"):
+        new, ref = _outcome(csurface_solve, data, mode), _outcome(frame_reference.csurface_solve, data, mode)
+        if isinstance(ref, tuple):
+            assert new == ref
+        else:
+            _same_surface(new, ref)
+        outcomes.append(ref)
+    return outcomes
+
+
+def _gate_data(gate, i, seed=0):
+    """Strip data whose level-by-level solve first fails `gate` at base source (i eps_1, 0) in
+    direction 1, from a seeded search: a clean strip, then data of source i set to fail the gate,
+    or of source i - 1 where the gate reads only values carried from it.  The transform mesh size
+    0.8 lets the carried b2 leave N_2^2 > 0 and rho_12 + rho_21 exceed 2 in modulus (with mesh size
+    1, both are invariants of the transform step)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(400):
+        data = _alpha_strip(rng, eps=(0.2, 0.8))
+        clean = _outcome(csurface_solve, data, "error")
+        if isinstance(clean, tuple):
+            continue
+        (e1, e2), (s1, s2), r = data.eps, (d - 1 for d in data.dirs), 5 - sum(data.dirs)  # r: the slot of the third label
+        if gate == "N1":
+            data.b1[i, s2] = 3.0 / e1
+        elif gate == "N2" and i == 0:
+            data.b2[0, s1] = 2.2 / e2
+        elif gate == "N2":  # kick the carried b2 out of N_2^2 > 0 from source i - 1
+            data.b1[i - 1, [s2, r]] = rng.uniform(-1.9, 1.9, 2) / e1 / np.sqrt(2.0)
+            data.split[i - 1, 0] = rng.uniform(-1.0, 1.0) * rng.choice([1.0, 10.0, 100.0])
+        else:
+            # rho_12 + rho_21 = p . q for the unit vector p = (N_1, e1 b1[s2] / 2, e1 b1[r] / 2) and
+            # q = (b12, 2 N_2, -b2[r]) of the carried b2: b1 along q, just inside N_1^2 > 0
+            b2 = clean.fields["b2"].values[i, 0]
+            q = np.array([b2[s1], 2.0 * np.sqrt(1.0 - e2 * e2 / 4.0 * (b2[s1] ** 2 + b2[r] ** 2)), -b2[r]])
+            b1 = np.zeros(data.alg.n)
+            b1[[s2, r]] = 2.0 / e1 * np.sign(b2[s1]) * (1.0 - 1e-3) * q[1:] / np.linalg.norm(q)
+            system = FrameSurfaceSystem(data.alg, data.dirs, "alpha")
+
+            def total(t):  # rho_12 + rho_21 at source i with b1 = t b1
+                vals = {"b1": t * b1, "b2": b2, "split": data.split[i, 0]}
+                return float(sum(system.splitting_rhos(vals, data.eps, rows=np.False_)[:2]))
+
+            if gate == "n":  # |rho_12 + rho_21| > 2, and the split at half of it makes n^2 negative
+                data.b1[i], data.split[i, 0] = b1, total(1.0) / 2.0 / e1
+            elif total(1.0) < -2.0 < total(0.0):  # the line-circle gate: bisect to rho_12 + rho_21 = -2
+                lo, hi = 0.0, 1.0
+                for _ in range(80):
+                    lo, hi = (lo, (lo + hi) / 2) if total((lo + hi) / 2) < -2.0 else ((lo + hi) / 2, hi)
+                data.b1[i] = hi * b1
+        ref = _outcome(frame_reference.csurface_solve, data, "error")
+        if isinstance(ref, tuple) and ref[:4] == (DomainViolation, (i * e1, 0.0), 1, _GATES[gate][0]) \
+                and ref[4].startswith(_GATES[gate][1]):
+            return data
+    raise AssertionError(f"no data found that fails {gate} at source {i}")
+
+
+class TestTransformRecurrence:
+    """A transform solve's (h, beta) filled by the recurrence along each transform layer, against the
+    level-by-level solve of frame, h and beta (frame_reference.csurface_solve): bitwise surfaces and
+    nan patterns, the same DomainViolation, with and without warnings as errors."""
+
+    @pytest.mark.parametrize("gate", sorted(_GATES))
+    @pytest.mark.parametrize("i", [0, 2, 5], ids=["first", "middle", "last"])
+    def test_each_gate_fails_like_the_level_by_level_solve(self, gate, i):
+        # the strip has 7 base sites: its (h, beta) fill steps from the base sources 0..5
+        data = _gate_data(gate, i)
+        for ref in _assert_same_outcome(data):
+            assert ref[1:4] == ((i * data.eps[0], 0.0), 1, _GATES[gate][0])
+
+    @pytest.mark.parametrize("name", ["h1", "b1", "h2", "b2", "split"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_non_finite_data(self, name, value, where):
+        data = _alpha_strip(np.random.default_rng(1), n2=3)
+        arr = getattr(data, name)
+        k = {"first": 0, "middle": len(arr) // 2, "last": len(arr) - 1}[where]
+        arr[k] = value
+        _assert_same_outcome(data)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(2, 8), st.sampled_from([2, 3]),
+           st.sampled_from(["none", "N1", "N2", "split", "edge", "non-finite"]), st.sampled_from([1.0, 0.5]))
+    def test_random_strips(self, seed, N, n1, n2, push, eps2):
+        rng = np.random.default_rng(seed)
+        dirs = tuple(int(d) for d in rng.permutation(np.arange(1, N + 1))[:2])
+        eps = (float(rng.choice([0.05, 0.2, 0.5])), eps2)
+        data = _alpha_strip(rng, N, n1, n2, eps, dirs)
+        i, j = int(rng.integers(0, n1)), int(rng.integers(0, n2))
+        s1, s2 = dirs[0] - 1, dirs[1] - 1
+        if push == "N1":  # N_1^2 near 0 at source i
+            data.b1[i, s2] = rng.choice([-2.0, 2.0]) / eps[0] * (1.0 + rng.uniform(-1e-3, 1e-3))
+        elif push == "N2":  # N_2^2 near 0 at the layer's first site
+            data.b2[j, s1] = rng.choice([-2.0, 2.0]) / eps[1] * (1.0 + rng.uniform(-1e-3, 1e-3))
+        elif push == "split":
+            data.split[i, j] = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(0.0, 3.0) / eps[0]
+        elif push == "edge":  # b1 near the edge of N_1^2 > 0 on every source
+            data.b1 *= 1.99 / eps[0] / np.sqrt(N) / np.abs(data.b1).max()
+        elif push == "non-finite":
+            arr = getattr(data, str(rng.choice(["h1", "b1", "h2", "b2", "split"])))
+            arr.flat[rng.integers(0, arr.size)] = rng.choice([np.nan, np.inf, -np.inf])
+        _assert_same_outcome(data)
+
+    @pytest.mark.parametrize("n1", [5, 40])
+    @pytest.mark.parametrize("n2", [2, 3])
+    def test_one_step_call_per_transform_layer(self, monkeypatch, n1, n2):
+        calls, inner = [], FrameSurfaceSystem.step
+
+        def step(self, direction, vals, eps, outputs=None, sources=None):
+            calls.append(np.shape(vals["h1"])[:1])
+            return inner(self, direction, vals, eps, outputs=outputs, sources=sources)
+
+        monkeypatch.setattr(FrameSurfaceSystem, "step", step)
+        res = csurface_solve(_alpha_strip(np.random.default_rng(2), n1=n1, n2=n2, eps=(0.02, 1.0)))
+        assert not np.isnan(res.x).any()
+        # one call in direction 1 per layer that has a next one, on the n1 - 1 sources of the layer
+        assert calls == [(n1 - 1,)] * (n2 - 1)
+
+
+class TestNonFiniteMetric:
+    """A non-finite metric coefficient h fails closed: DomainViolation at the first (site, direction)
+    in fill order whose step reads it, with and without warnings as errors."""
+
+    @staticmethod
+    def _transform_data():
+        alg, curve, seed, eps = ALG2, warped_circle_curve(1.0, 0.3), np.array([0.55, 0.0]), np.pi / 40
+        psi0 = _ribaucour_curve_pair().result.fields["psi"].values[0, 0]
+        t = np.arange(mesh_points(0.5, eps)) * eps
+        axis = read_off_curve(alg, curve, psi0, 1, t, substep=eps / 4.0)
+        return ribaucour_data(alg, axis, -1.0 + 0.3 * np.sin(t), curve.x(0.0), seed, psi0, (1, 2), eps)
+
+    @pytest.mark.parametrize("splitting", ["gamma", "alpha"])
+    @pytest.mark.parametrize("name", ["h1", "h2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_raises_at_the_first_step_that_reads_it(self, splitting, name, value, where):
+        if splitting == "gamma":
+            data = csurface_data_from_oracle(EllipticOracle(), np.pi / 20, 4 * np.pi / 10)
+        else:
+            data = self._transform_data()
+        setattr(data, name, getattr(data, name).copy())
+        arr = getattr(data, name)
+        k = {"first": 0, "middle": len(arr) // 2, "last": len(arr) - 1}[where]
+        arr[k] = value
+        e1, e2 = data.eps
+        if name == "h1":  # read by the steps from base site k, first the one in direction 1
+            expected = ((k * e1, 0.0), 1)
+        else:  # read by the steps from site (0, k): in direction 1, unless k is the last site
+            expected = ((0.0, k * e2), 1 if k < len(arr) - 1 else 0)
+        if splitting == "alpha" and k == len(arr) - 1:
+            # a transform solve reads neither its last base datum nor its transform-layer h2; the
+            # level-by-level solve computes (and with warnings as errors raises on) the h2 rows of
+            # its psi-alone rows do not own, so it is the reference without warnings as errors only
+            ref = _outcome(frame_reference.csurface_solve, data, "ignore")
+            for mode in ("error", "ignore"):
+                _same_surface(_outcome(csurface_solve, data, mode), ref)
+            return
+        for ref in _assert_same_outcome(data):
+            assert ref == (DomainViolation, expected[0], expected[1], ImmersionFailure,
+                           "metric coefficient h is not finite")
+
+    def test_step_gates_h_only_where_a_row_reads_it(self, rng):
+        vals = random_surface_state(ALG3, rng)
+        vals["h2"] = np.nan
+        system = FrameSurfaceSystem(ALG3, (1, 2), "gamma")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # b and the psi step in direction 0 do not read h2; h1 in direction 1 does
+            system.step(0, vals, (0.1, 0.1), ("psi", "b2"))
+            with pytest.raises(ImmersionFailure):
+                system.step(1, vals, (0.1, 0.1), ("h1",))
+            with pytest.raises(ImmersionFailure):
+                system.step(1, vals, (0.1, 0.1), ("psi",))
 
 
 def _direction_tables(alg, d):

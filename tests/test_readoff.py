@@ -8,7 +8,7 @@ from readoff_reference import read_off_curve as reference_read_off
 
 from dlame.clifford import algebra
 from dlame.curves import SmoothCurve, circle_curve, line_curve, warped_circle_curve
-from dlame.errors import DegenerateBasis, FrameDrift, ImmersionFailure
+from dlame.errors import ConfigError, DegenerateBasis, FrameDrift, ImmersionFailure
 from dlame.lattice import mesh_points
 from dlame.oracles import EllipticOracle, FlatOracle, SphericalOracle, start_frame
 from dlame.orthogonal import read_off_curve, suited_frame
@@ -253,3 +253,40 @@ def test_non_finite_curve_names_the_first_bad_node(value, stall, message):
         warnings.simplefilter("error")
         kind, got = _raised(read_off_curve, ALG2, curve, psi0, 1, np.linspace(0.0, 1.0, 5))
     assert (kind, got) == (ImmersionFailure, message)
+
+
+# -- arguments are checked before any lift ---------------------------------------
+
+
+def _unevaluated(dim):
+    """A curve that fails the test if the read-off evaluates it."""
+    def never(t):
+        raise AssertionError("the curve was evaluated")
+    return SmoothCurve(dim, never, never, never)
+
+
+@pytest.mark.parametrize("samples,substep,message", [
+    ([0.0, 0.1, np.nan], None, "samples must be finite"),
+    ([0.0, np.inf], None, "samples must be finite"),
+    ([-np.inf, 0.0], 0.1, "samples must be finite"),
+    ([0.0, 0.1], np.nan, "substep must be positive, got nan"),
+    ([0.0, 0.1], 0.0, "substep must be positive, got 0.0"),
+    ([0.0, 0.1], -0.1, "substep must be positive, got -0.1"),
+])
+def test_bad_samples_or_substep_raise_a_config_error(samples, substep, message):
+    psi0 = _suited(ALG2, BUILDERS["warped2"]())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kind, got = _raised(read_off_curve, ALG2, _unevaluated(2), psi0, 1, np.array(samples), substep=substep)
+    assert (kind, got) == (ConfigError, message)
+
+
+def test_samples_without_a_positive_gap_take_the_default_substep():
+    # no two samples differ: the substep falls back to 0.25, as for a single sample
+    curve = BUILDERS["warped2"]()
+    psi0 = _suited(ALG2, curve)
+    got = read_off_curve(ALG2, curve, psi0, 1, np.array([0.3, 0.3]))
+    ref = reference_read_off(ALG2, curve, psi0, 1, np.array([0.3, 0.3]), substep=0.25)
+    assert got.h.tobytes() == read_off_curve(ALG2, curve, psi0, 1, np.array([0.3, 0.3]), substep=0.25).h.tobytes()
+    np.testing.assert_allclose(got.h, ref.h, rtol=1e-13)
+    np.testing.assert_allclose(got.beta, ref.beta, rtol=1e-13, atol=1e-15)
