@@ -110,7 +110,7 @@ class DegenerateCircle(DLameError):
 
 
 class ImmersionFailure(DLameError):
-    """Curve speed dropped below tolerance while reading off coefficients."""
+    """A read-off curve stalled or left the finite range, or a step read a non-finite metric coefficient h."""
 
 
 class FrameDrift(DLameError):

@@ -17,10 +17,11 @@ from dlame.lattice import MeshSpec, _fill_plan, _signature, consistency_residual
 from dlame.oracles import EllipticOracle, SphericalOracle, csurface_data_from_oracle
 from dlame.orthogonal import FrameSurfaceSystem, csurface_solve, orthosys_assemble, ribaucour_pair_3d, ribaucour_solve
 
+import frame_reference
 import goursat_reference
 import step_reference as ref
 from conftest import random_surface_state
-from test_goursat_plan import planned_rows, reference_rows
+from test_goursat_plan import assert_same_fields, planned_rows, reference_rows
 
 ALG3 = algebra(3)
 REFERENCE_SYSTEMS = [(conjugate, "ConjugateSystem", ref.ReferenceConjugateSystem),
@@ -67,6 +68,27 @@ def assert_same_solves(run):
     return new
 
 
+def assert_same_alpha_fills(run, count):
+    """The (h, beta) fill of each of the `count` transform solves run() makes, by the recurrence
+    along each transform layer, is bitwise (nan patterns included) the Goursat fill of that box
+    with the reference system and the reference driver."""
+    fills, inner = [], orthogonal._coefficients
+
+    def checked(system, mesh, data):
+        new = inner(system, mesh, data)
+        if system.splitting == "alpha":
+            old = frame_reference.coefficients(ref.ReferenceFrameSurfaceSystem(system.alg, system.dirs, "alpha"),
+                                               mesh, data, lambda *args, request: reference_rows(*args, request)[0])
+            fills.append(mesh.npts)
+            assert_same_fields(new, old)
+        return new
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orthogonal, "_coefficients", checked)
+        run()
+    assert len(fills) == count
+
+
 def _conjugate_data(rng, npts, cmax=0.2):
     M = len(npts)
     w_axis = {i: np.eye(M)[i] + 0.05 * rng.normal(size=(npts[i], M)) for i in range(M)}
@@ -97,14 +119,18 @@ class TestGoursatAgainstReference:
         spec = oracle.surface_spec(0.1, 0.4)
         tangents = [oracle.curve(i).dx(0.0) for i in (1, 2, 3)]
         seed = spec.x0 + sum(k * t / np.linalg.norm(t) for k, t in zip((0.45, 0.40, 0.42), tangents))
-        solves = assert_same_solves(lambda: ribaucour_pair_3d(spec, {i: (lambda t: -1.0) for i in (1, 2, 3)}, seed))
+        run = lambda: ribaucour_pair_3d(spec, {i: (lambda t: -1.0) for i in (1, 2, 3)}, seed)
+        solves = assert_same_solves(run)
         assert [s[0] for s in solves].count("ConjugateSystem") == 2
+        # the three transform solves fill h1, b1 without the Goursat driver
+        assert_same_alpha_fills(run, 3)
 
     def test_frame_surfaces(self):
         assert_same_solves(lambda: csurface_solve(csurface_data_from_oracle(EllipticOracle(), np.pi / 40, 1.2)))
-        assert_same_solves(lambda: ribaucour_solve(
-            algebra(2), warped_circle_curve(1.0, 0.3), lambda t: -1.0 + 0.3 * np.sin(t),
-            np.array([0.55, 0.0]), np.pi / 40, 0.5))
+        run = lambda: ribaucour_solve(algebra(2), warped_circle_curve(1.0, 0.3), lambda t: -1.0 + 0.3 * np.sin(t),
+                                      np.array([0.55, 0.0]), np.pi / 40, 0.5)
+        assert_same_solves(run)
+        assert_same_alpha_fills(run, 1)
 
 
 def criterion_02_states(n=200, seed=2):
