@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -254,10 +255,15 @@ def _conjugate_from_oracle(oracle, eps, r):
     return fields["x"].values
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use: a parse leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return run(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

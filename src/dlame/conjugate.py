@@ -260,19 +260,19 @@ def _shift_edges(state: CornerState, a: np.ndarray, eps, edges: bool = True):
     return x, np.where(np.eye(state.M, dtype=bool)[a][..., None], np.nan, w), ea
 
 
-def _advance(state: CornerState, a: np.ndarray, eps, triples, tail_dirs, need=None, sources=None,
+def _advance(state: CornerState, a: np.ndarray, eps, triples, tail_dirs, need=None, tables=None,
              edges: bool = True) -> CornerState:
     """The one conjugate step kernel: tau_a x and tau_a w (unless state.w is None;
     w only if `edges`) and tau_a c (unless `triples` is None) for the direction a
     of each row (an int array broadcasting against the batch axes).
 
     A block depends on c and eps alone, so it is solved once per source: with
-    `sources` = (first, inv), row first[s] holds the corner of source s and
-    inv the source of each row; without, every entry of the (c, eps) batch is
-    a source.  One `dcn_step_c` call solves each (source, triple) block of
-    `triples` that some row reads (need[..., t]; None: every row reads every
-    block of its source), each row gated on the blocks it reads.  Row a of w
-    and the c_pq no solved block covers are nan."""
+    `tables`, a call's `_StepTables`, row first[s] holds the corner of source s;
+    without, every entry of the (c, eps) batch is a source and its rows read the
+    blocks of need[..., t] (None: every block of their source).  One `dcn_step_c`
+    call solves each (source, triple) block of `triples` that some row reads,
+    each row gated on the blocks it reads.  Row a of w and the c_pq no solved
+    block covers are nan."""
     e = np.asarray(eps, dtype=float)
     if state.w is None:
         x = w = None
@@ -282,31 +282,29 @@ def _advance(state: CornerState, a: np.ndarray, eps, triples, tail_dirs, need=No
     if triples is None:
         return CornerState(x, w, None)
     M, T = state.M, len(triples)
-    if sources is None:
+    # slot s (T + 1) + t: the six quotients of block (s, t), nan where it is not solved;
+    # slot s (T + 1) + T: nan, read by the c_pq that no triple covers
+    if tables is None:
         c, e, batch = _own_sources(state.c, e)
         S = len(c)
         reads, offset = _own_slots(batch, T)
-    else:
-        first, inv = sources
-        S, c = len(first), state.c[first]
-        e = e if e.ndim == 1 else np.broadcast_to(e, state.c.shape[:-2] + (M,))[first]
-        reads, offset = inv[..., None] * (T + 1) + np.arange(T), (6 * T + 6) * inv[..., None, None]
-    # slot s (T + 1) + t: the six quotients of block (s, t), nan where it is not solved;
-    # slot s (T + 1) + T: nan, read by the c_pq that no triple covers
-    table = np.full((S * (T + 1), 6), np.nan)
-    if T:
-        if need is None and sources is None:
+        if need is None:
             blocks = reads.reshape(-1)  # every source once, with all its blocks
-        else:
-            if need is not None:
-                reads = np.where(need, reads, T)  # slot T holds no block
-            hit = np.zeros(len(table), dtype=bool)
+        elif T:
+            reads = np.where(need, reads, T)  # slot T holds no block
+            hit = np.zeros(S * (T + 1), dtype=bool)
             hit[reads] = True
             hit[T] = False
             blocks = np.flatnonzero(hit)
+        gather = offset + _block_plan(M, triples, tuple(tail_dirs)).dense[a]
+    else:
+        first, reads, blocks, gather = tables.first, tables.reads, tables.blocks, tables.gather
+        S, c = len(first), state.c[first]
+        e = e if e.ndim == 1 else np.broadcast_to(e, state.c.shape[:-2] + (M,))[first]
+    table = np.full((S * (T + 1), 6), np.nan)
+    if T:
         table[blocks] = dcn_step_c(c, e, triples, tail_dirs, blocks=blocks, reads=reads).reshape(-1, 6)
-    D = table.reshape(-1)[offset + _block_plan(M, triples, tuple(tail_dirs)).dense[a]]
-    return CornerState(x, w, state.c + ea[..., None] * D)
+    return CornerState(x, w, state.c + ea[..., None] * table.reshape(-1)[gather])
 
 
 @functools.lru_cache(maxsize=None)
@@ -331,6 +329,51 @@ def _step_plan(M: int, dirs: tuple, outputs):
     return ret, triples, cover, None if need[list(dirs)].all() else need
 
 
+def _row_need(ret, triples, cover, need, a, outputs):
+    """Per row of a step call and triple of `_step_plan`'s, whether the row reads the triple's
+    blocks (None: every row reads every block of its source); with output masks, the blocks that
+    give a coefficient the row owns."""
+    if isinstance(outputs, Mapping) and triples:
+        owns = np.broadcast_arrays(*(outputs[name] for name, *at in ret if len(at) == 2))
+        return (cover[a] & np.stack(owns, axis=-1)[..., None, :]).any(axis=-1)
+    return None if need is None else need[a]
+
+
+class _StepTables(NamedTuple):
+    """Index tables of one `ConjugateSystem.step` call with a source table, a function of the
+    call's directions, output masks and source table alone (see HyperbolicSystem)."""
+
+    ret: tuple                 # (name, *at) of each component returned (see _step_plan)
+    triples: tuple             # the triples whose blocks the call solves
+    first: np.ndarray          # the source table's first row of each source
+    reads: np.ndarray | None   # (..., T) per row and triple: the slot read, slot T when none
+    blocks: np.ndarray | None  # the slots of the blocks solved, increasing
+    gather: np.ndarray | None  # (..., M, M) per row: the flat slot-table entry of each delta c_pq
+
+
+def _step_tables(M: int, tail_dirs: tuple, a: np.ndarray, outputs, sources) -> _StepTables:
+    """The tables of a step call with directions `a`, `outputs` and source table `sources` = (first,
+    inv) of the system with tail directions `tail_dirs`; indices are int32 unless the slot table
+    outgrows it."""
+    ret, triples, cover, need = _step_plan(M, tuple(sorted(set(a.ravel().tolist()))),
+                                           None if outputs is None else tuple(outputs))
+    first, inv = sources
+    T = len(triples)
+    if not T:
+        return _StepTables(ret, triples, first, None, None, None)
+    index = np.int32 if len(first) * (T + 1) * 6 < 2**31 else np.intp
+    reads = inv[..., None] * (T + 1) + np.arange(T)
+    need = _row_need(ret, triples, cover, need, a, outputs)
+    if need is not None:
+        reads = np.where(need, reads, T)  # slot T holds no block
+    hit = np.zeros(len(first) * (T + 1), dtype=bool)
+    hit[reads] = True
+    hit[T] = False
+    gather = (6 * T + 6) * inv[..., None, None] + _block_plan(M, triples, tail_dirs).dense[a]
+    return _StepTables(ret, triples, first, reads.astype(index), np.flatnonzero(hit).astype(index),
+                       gather.astype(index))
+
+
 class ConjugateSystem(HyperbolicSystem):
     """Hyperbolic system of an M-dimensional discrete conjugate net in R^N."""
 
@@ -348,16 +391,24 @@ class ConjugateSystem(HyperbolicSystem):
 
     def step(self, direction, vals, eps, outputs=None, sources=None):
         """Pack the components into a corner state, advance it, unpack the outputs; the
-        implicit blocks are solved once per source site of `sources` (see `_advance`)."""
+        implicit blocks are solved once per source site of `sources` (see `_advance`).
+
+        A call with a source table reads its index tables (`_StepTables`) from the table's
+        memo when it has one (the fill plan's), keyed by the tail directions, which the plan's
+        key leaves out; the first such call compiles them, as does every call with a plain
+        (first, inv) tuple."""
         M, a = self.M, np.asarray(direction)
-        ret, triples, cover, need = _step_plan(M, tuple(sorted(set(a.ravel().tolist()))),
-                                               None if outputs is None else tuple(outputs))
-        if isinstance(outputs, Mapping) and triples:
-            # per row: the blocks that give a coefficient the row owns
-            owns = np.broadcast_arrays(*(outputs[name] for name, *at in ret if len(at) == 2))
-            need = (cover[a] & np.stack(owns, axis=-1)[..., None, :]).any(axis=-1)
-        elif need is not None:
-            need = need[a]
+        tables = None
+        if sources is None:
+            ret, triples, cover, need = _step_plan(M, tuple(sorted(set(a.ravel().tolist()))),
+                                                   None if outputs is None else tuple(outputs))
+            need = _row_need(ret, triples, cover, need, a, outputs)
+        else:
+            memo = getattr(sources, "memo", {})
+            tables = memo.get(("conjugate", self.tail_dirs))
+            if tables is None:
+                tables = memo["conjugate", self.tail_dirs] = _step_tables(M, self.tail_dirs, a, outputs, sources)
+            ret, triples, need = tables.ret, tables.triples, None
         x = np.asarray(vals["x"], dtype=float)
         edges = any(len(n) == 2 for n in ret)  # every output but a coefficient reads w
         c = None
@@ -369,7 +420,7 @@ class ConjugateSystem(HyperbolicSystem):
         for i in range(M if w is not None else 0):
             w[..., i, :] = vals[f"w{i + 1}"]
         # no coefficient returned: no tau c either
-        new = _advance(CornerState(x, w, c), a, eps, triples or None, self.tail_dirs, need, sources, edges)
+        new = _advance(CornerState(x, w, c), a, eps, triples or None, self.tail_dirs, need, tables, edges)
         return {name: new.c[(..., *at)] if len(at) == 2 else new.w[..., at[0], :] if at else new.x
                 for name, *at in ret}
 

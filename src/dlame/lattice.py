@@ -201,6 +201,16 @@ class HyperbolicSystem:
     per row), so a rule may do its per-site work once per site; the result
     must equal the call without the table.  The Goursat
     driver passes its fill plan's table with every call.
+
+    Per-call tables.  What a rule derives from a call's directions, output
+    masks and source table alone (which blocks to solve, which slot each row
+    reads) is the same on every solve that runs the call.  The fill plan's
+    source table is a `_SourceTable`, whose `memo` dict keeps such tables
+    under a key of the rule's structure for as long as the plan is cached;
+    a rule that memoizes there must key on everything its tables depend on
+    besides the call, and must build the same tables on the fly for a plain
+    (first, inv) tuple.  A memoized table belongs to its call: it holds only
+    with that call's directions and output masks, as the driver passes them.
     """
 
     M: int
@@ -212,17 +222,17 @@ class HyperbolicSystem:
         self._by_name = {c.name: c for c in self.components}
         if len(self._by_name) != len(self.components):
             raise SystemStructureError("duplicate component names")
+        evolution = {c.name: set(c.evolution(M)) for c in self.components}
         for c in self.components:
-            evo = set(c.evolution(M))
+            evo = evolution[c.name]
             for j, reads in c.reads.items():
                 if j not in evo:
                     raise SystemStructureError(f"{c.name} declares reads for non-evolution direction {j}")
                 need = evo - {j}
                 for name in reads:
-                    other = self._by_name.get(name)
-                    if other is None:
+                    if name not in evolution:
                         raise SystemStructureError(f"{c.name} reads unknown component {name}")
-                    if not need <= set(other.evolution(M)):
+                    if not need <= evolution[name]:
                         raise SystemStructureError(
                             f"rule for {c.name} in direction {j} reads {name}, "
                             f"whose evolution directions do not cover {sorted(need)}"
@@ -244,6 +254,17 @@ def _signature(system: HyperbolicSystem) -> tuple:
                  for c in system.components)
 
 
+class _SourceTable(tuple):
+    """The source table (first, inv) of one fill-plan call, with a `memo` dict in which step rules
+    keep the tables they compile from the call (see HyperbolicSystem); it lives and dies with the
+    plan that holds it."""
+
+    def __new__(cls, first: np.ndarray, inv: np.ndarray):
+        table = super().__new__(cls, (first, inv))
+        table.memo = {}
+        return table
+
+
 def _read_only(*arrays):
     """Read-only views of arrays that own their data (a view of a read-only owner cannot be made writeable)."""
     for a in arrays:
@@ -258,11 +279,13 @@ def _fill_plan(signature: tuple, npts: tuple[int, ...], request: tuple[str, ...]
     A call is (outputs, dirs, src, dst, mask, sources): the union of its
     output names (sorted), then per row the step direction and the read-only
     flat C-order source and destination sites, mask[row, k] whether the row
-    owns outputs[k], and the call's source table (first, inv): its distinct
-    source sites in site order, first[s] the first row stepping from source
-    s and inv[row] the source of each row.  A row is a (destination site,
-    direction) pair; rows are in fill order: by the site's position within
-    its level, then by the declaration index of the row's first output.
+    owns outputs[k], and the call's source table (first, inv), a
+    `_SourceTable`: its distinct source sites in site order, first[s] the
+    first row stepping from source s and inv[row] the source of each row,
+    with the memo of the tables step rules compile from the call.  A row is
+    a (destination site, direction) pair; rows are in fill order: by the
+    site's position within its level, then by the declaration index of the
+    row's first output.
 
     For B = `problems` > 1 each call of the one-problem plan is folded: its
     row r becomes the B rows r B + b, one per problem b, with the direction
@@ -278,7 +301,8 @@ def _fill_plan(signature: tuple, npts: tuple[int, ...], request: tuple[str, ...]
             return (a[:, None] * problems + fan).flatten()
 
         return tuple((outputs, *_read_only(np.repeat(dirs, problems), fold(src), fold(dst),
-                                           np.repeat(mask, problems, axis=0)), _read_only(fold(first), fold(inv)))
+                                           np.repeat(mask, problems, axis=0)),
+                      _SourceTable(*_read_only(fold(first), fold(inv))))
                      for outputs, dirs, src, dst, mask, (first, inv) in _fill_plan(signature, npts, request, 1))
     M, names = len(npts), [name for name, _, _ in signature]
     coords = np.indices(npts).reshape(M, -1)
@@ -326,7 +350,7 @@ def _fill_plan(signature: tuple, npts: tuple[int, ...], request: tuple[str, ...]
         # the call's source table: its distinct source sites, each by its first row, and the source of each row
         _, first, inv = np.unique(src[lo:hi], return_index=True, return_inverse=True)
         own, first, inv = _read_only(mask[lo:hi, cols].copy(), first, inv.copy())
-        plan.append((tuple(names[c] for c in cols), dirs[lo:hi], src[lo:hi], dst[lo:hi], own, (first, inv)))
+        plan.append((tuple(names[c] for c in cols), dirs[lo:hi], src[lo:hi], dst[lo:hi], own, _SourceTable(first, inv)))
     return tuple(plan)
 
 
@@ -382,7 +406,9 @@ def goursat_solve(
     such key, vectorised over the box (per level: row directions, source and
     destination sites, one output mask array and the source table), and kept
     in a bounded, process-local LRU cache; a solve then only gathers, steps
-    and scatters on flat views of the fields.
+    and scatters on flat views of the fields.  Each call's source table keeps
+    the tables the step rule compiles from the call (see HyperbolicSystem),
+    so a rule's structure work is done once per plan as well.
     """
     if mesh.M != system.M:
         raise ValueError("mesh dimension does not match the system")

@@ -45,7 +45,7 @@ import numpy as np
 from .circles import circularity_residual_batch, point_on_circumcircle
 from .clifford import Algebra
 from .config import TOL
-from .conjugate import extract_rotation_coeffs, quad_stack, solve_conjugate_net
+from .conjugate import cname, extract_rotation_coeffs, quad_stack, solve_conjugate_net
 from .curves import SmoothCurve
 from .errors import (
     ConfigError,
@@ -315,6 +315,10 @@ def _lift_nodes(alg: Algebra, curve: SmoothCurve, t: np.ndarray):
     return alg.lift_point(x), vd, a, h
 
 
+# the most substeps a read-off takes; the pi/320 read-off of the benchmark curve takes 488
+_MAX_SUBSTEPS = 100_000
+
+
 def read_off_curve(
     alg: Algebra,
     curve: SmoothCurve,
@@ -342,6 +346,8 @@ def read_off_curve(
     GS(V_0 G_1 ... G_k) with G = P Pi.  Every lift, P and G comes from one
     stacked evaluation; only the running product runs substep by substep, and
     one Gram-Schmidt pass and one orthonormality gate cover every substep.
+    The substeps are counted before any node is listed: more than
+    _MAX_SUBSTEPS of them raise ConfigError.
     """
     samples = np.asarray(samples, dtype=float)
     if not np.isfinite(samples).all():
@@ -360,13 +366,19 @@ def read_off_curve(
     pre = 0
     while pre < len(samples) and samples[pre] <= 1e-14:
         pre += 1
+    # substeps towards each later sample, counted before any node is listed
+    targets = samples[pre:]
+    with np.errstate(all="ignore"):  # an overflowing or nan count fails the cap
+        counts = np.maximum(1.0, np.ceil((targets - np.concatenate([[0.0], targets[:-1]])) / substep - 1e-12))
+    if not counts.sum() <= _MAX_SUBSTEPS:
+        raise ConfigError(f"substep {substep!r} needs {counts.sum():.3g} substeps over the samples, "
+                          f"more than {_MAX_SUBSTEPS}")
     times = [0.0, *samples[:pre]]
     sample_nodes = list(range(1, pre + 1))
     # sample_rows[i]: the number of substeps taken when sample i is read
     begin, mid, dts, sample_rows = [], [], [], [0] * pre
     t = 0.0
-    for target in samples[pre:]:
-        nsub = max(1, int(math.ceil((target - t) / substep - 1e-12)))
+    for target, nsub in zip(targets, counts.astype(int).tolist()):
         dt = (target - t) / nsub
         for _ in range(nsub):
             begin.append(len(times) - 1 if mid else 0)
@@ -674,6 +686,12 @@ def orthosys_assemble(spec: OrthoSurfaceSpec) -> OrthosysResult:
     failing surface's (in `itertools.combinations` order), at its first
     failure in fill order.
     """
+    return _solve_bulk(spec, *_coordinate_surfaces(spec))
+
+
+def _coordinate_surfaces(spec: OrthoSurfaceSpec):
+    """The axis curves, coordinate surfaces and conjugate coefficients (cdata) of an assembled
+    system (see orthosys_assemble), without its bulk."""
     alg = spec.alg
     eps = spec.eps
     npts = spec.npts            # includes one spare site for differences/quads
@@ -701,10 +719,14 @@ def orthosys_assemble(spec: OrthoSurfaceSpec) -> OrthosysResult:
             x = surf.x
             cdata[(i, j)], cdata[(j, i)] = extract_rotation_coeffs(
                 x[:-1, :-1], x[1:, :-1], x[:-1, 1:], x[1:, 1:], eps, eps)
+    return curves, surfaces, cdata
 
-    n = npts - 1                 # the requested box
-    mesh = MeshSpec(eps=(eps,) * 3, npts=(n,) * 3)
-    fields = solve_conjugate_net(mesh, spec.x0, *_bulk_inputs(curves, cdata, eps, n), N=alg.n)
+
+def _solve_bulk(spec: OrthoSurfaceSpec, curves, surfaces, cdata) -> OrthosysResult:
+    """The assembled system of the given coordinate data, its bulk solved in full."""
+    n = spec.npts - 1            # the requested box
+    mesh = MeshSpec(eps=(spec.eps,) * 3, npts=(n,) * 3)
+    fields = solve_conjugate_net(mesh, spec.x0, *_bulk_inputs(curves, cdata, spec.eps, n), N=spec.alg.n)
     return OrthosysResult(spec, surfaces, cdata, fields, fields["x"].values, curves)
 
 
@@ -953,10 +975,21 @@ def triple_ribaucour_net(alg: Algebra, curve: SmoothCurve, alpha_fns, seeds,
 
 @dataclass
 class RibaucourPair3D:
+    """A Ribaucour transform of an assembled orthogonal system (see ribaucour_pair_3d).
+
+    `base` is the tail-0 layer of the four-direction net: its x is bitwise the x of
+    `orthosys_assemble(spec)`, and its fields hold the layer of each three-direction
+    component, nan where the net's x request reads no value (most of w3: 83% at eps = 0.05)
+    and bitwise the full bulk solve's value everywhere else."""
+
     base: OrthosysResult
     pairs: dict[int, RibaucourResult]
     fields: dict[str, LatticeField]
     x: np.ndarray          # (n, n, n, 2, N)
+
+
+# the components of an assembled system's bulk, in the order of its conjugate system
+_BULK_NAMES = ("x", *(f"w{i}" for i in _LABELS), *(cname(i, j) for i, j in itertools.permutations(_LABELS, 2)))
 
 
 def ribaucour_pair_3d(
@@ -970,23 +1003,39 @@ def ribaucour_pair_3d(
     coefficients; the four-directional conjugate net then propagates the
     transform layer across the bulk, and concircularity of all mixed quads is
     inherited from the coordinate data.
+
+    The net's tail-0 layer is the assembled system's bulk, so the bulk is not
+    solved on its own: `base` is read off that layer (see RibaucourPair3D).
+    The net is solved for x alone, so, as on the transform layer, a value of
+    the base that no x reads is neither computed nor gated: a failure confined
+    to such values does not abort the pair, though it makes
+    `orthosys_assemble(spec)` raise.  Errors keep the order of assembling the
+    base first: after the coordinate surfaces, a library error (a transform
+    solve's or the net's) is raised only when the full bulk solve succeeds;
+    when that fails, its error is raised instead.
     """
     alg = spec.alg
     eps = spec.eps
-    base = orthosys_assemble(spec)
+    curves, surfaces, cdata = _coordinate_surfaces(spec)
     n = spec.npts - 1
-    w_axis, c_in = _bulk_inputs(base.curves, base.cdata, eps, n)
+    w_axis, c_in = _bulk_inputs(curves, cdata, eps, n)
     w_axis[3] = np.asarray(xplus0, dtype=float) - spec.x0
-
     pairs = {}
-    for a, i in enumerate(_LABELS):
-        d2 = _LABELS[(a + 1) % 3]
-        alpha = np.asarray([alpha_fns[i](s * eps) for s in range(spec.npts)], dtype=float)
-        data = ribaucour_data(alg, spec.axis[i], alpha, spec.x0, xplus0, spec.psi0, (i, d2), eps)
-        res = csurface_solve(data)
-        pairs[i] = RibaucourResult(alg, res, res.x, (i, d2))
-        c_in[(a, 3)], c_in[(3, a)] = _pair_coeffs(pairs[i], n, eps)
+    try:
+        for a, i in enumerate(_LABELS):
+            d2 = _LABELS[(a + 1) % 3]
+            alpha = np.asarray([alpha_fns[i](s * eps) for s in range(spec.npts)], dtype=float)
+            data = ribaucour_data(alg, spec.axis[i], alpha, spec.x0, xplus0, spec.psi0, (i, d2), eps)
+            res = csurface_solve(data)
+            pairs[i] = RibaucourResult(alg, res, res.x, (i, d2))
+            c_in[(a, 3)], c_in[(3, a)] = _pair_coeffs(pairs[i], n, eps)
 
-    mesh = MeshSpec(eps=(eps,) * 3 + (1.0,), npts=(n,) * 3 + (2,), tail=1)
-    fields = solve_conjugate_net(mesh, spec.x0, w_axis, c_in, N=alg.n, request=("x",))
+        mesh = MeshSpec(eps=(eps,) * 3 + (1.0,), npts=(n,) * 3 + (2,), tail=1)
+        fields = solve_conjugate_net(mesh, spec.x0, w_axis, c_in, N=alg.n, request=("x",))
+    except DLameError:
+        _solve_bulk(spec, curves, surfaces, cdata)  # the base's own error comes first
+        raise
+    mesh = MeshSpec(eps=(eps,) * 3, npts=(n,) * 3)
+    layer = {name: LatticeField(mesh, fields[name].values[:, :, :, 0]) for name in _BULK_NAMES}
+    base = OrthosysResult(spec, surfaces, cdata, layer, layer["x"].values, curves)
     return RibaucourPair3D(base, pairs, fields, fields["x"].values)

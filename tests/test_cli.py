@@ -198,6 +198,54 @@ class TestConfigFile:
         assert out.read_bytes() == direct.read_bytes()
 
 
+class TestParserReuse:
+    def test_main_in_one_process_matches_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        # main builds its parser once per process; successive commands, a config file and a rejected
+        # argument in one process must give the exit codes, messages and files of fresh processes
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("oracle=elliptic\neps=pi/10\nr=1.0\n")
+        runs = [
+            ["csurface", f"@{cfg}", "--csv", "{out}/a.csv"],
+            ["conjugate", "--oracle", "elliptic", "--eps", "0.2", "--r", "0.6", "--json", "{out}/b.json"],
+            ["csurface", "--eps", "pi/10", "--bogus", "1"],
+            ["csurface", f"@{cfg}", "--r", "0.8", "--stagger", "--json", "{out}/c.json"],
+            ["conjugate", "--eps", "0.2", "--r", "0.6", "--json", "{out}/d.json"],
+        ]
+        import dlame.cli as cli
+        built, inner = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or inner())
+        cli._parser.cache_clear()
+        src = Path(__file__).resolve().parents[1] / "src"
+        for where in ("one", "fresh"):
+            (tmp_path / where).mkdir()
+        results = {"one": [], "fresh": []}
+        for argv in runs:
+            one = [a.replace("{out}", str(tmp_path / "one")) for a in argv]
+            try:
+                code = main(one)
+            except SystemExit as exc:
+                code = exc.code
+            results["one"].append((code, capsys.readouterr().err))
+            fresh = [a.replace("{out}", str(tmp_path / "fresh")) for a in argv]
+            proc = subprocess.run([sys.executable, "-m", "dlame.cli", *fresh], capture_output=True, text=True,
+                                  cwd=src, timeout=120)
+            results["fresh"].append((proc.returncode, proc.stderr))
+        assert results["one"] == results["fresh"]
+        assert [code for code, _ in results["one"]] == [0, 0, 2, 0, 0]
+        assert "unrecognized arguments: --bogus 1" in results["one"][2][1]
+        assert len(built) == 1
+        for name in ("a.csv", "b.json", "c.json", "d.json"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+        # each JSON echoes its own command's configuration only
+        assert json.loads((tmp_path / "one" / "c.json").read_text())["meta"]["config"]["stagger"] is True
+        assert "stagger" not in json.loads((tmp_path / "one" / "d.json").read_text())["meta"]["config"]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        from dlame.cli import build_parser
+
+        assert build_parser() is not build_parser()
+
+
 class TestSweepCommand:
     def test_two_mesh_sizes_exit_2_before_any_solve(self, monkeypatch):
         def no_solve(*args, **kwargs):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dlame.conjugate import ConjugateSystem
 from dlame.errors import (
     DomainViolation,
     OrderTooLarge,
@@ -179,8 +180,16 @@ class TestGoursat:
             Component("u", (), (), {0: ("u", "v"), 1: ("u",)}),
             Component("v", (), (1,), {0: ("v",)}),
         ]
-        with pytest.raises(SystemStructureError):
+        with pytest.raises(SystemStructureError, match=r"rule for u in direction 0 reads v, "
+                                                       r"whose evolution directions do not cover \[1\]"):
             HyperbolicSystem(2, comps)
+
+    def test_structural_check_derives_each_evolution_once(self, monkeypatch):
+        # the closure condition reads one evolution set per component, not one per declared read
+        calls, inner = [], Component.evolution
+        monkeypatch.setattr(Component, "evolution", lambda c, M: calls.append(c.name) or inner(c, M))
+        system = ConjugateSystem(4, 3, tail_dirs=(3,))
+        assert sorted(calls) == sorted(c.name for c in system.components)
 
     @pytest.mark.parametrize("comps,match", [
         ([Component("u", (), (), {0: ("u",)}), Component("u", (), (), {1: ("u",)})], "duplicate"),

@@ -1092,9 +1092,15 @@ class TestRibaucourPair3D:
         return spec, seed
 
     def test_base_layer_matches_plain_assembly(self):
+        # the base is read off the net's tail-0 layer; it is held to the assembly solved on its own
         spec, seed = self._spec_and_seed()
         pair = ribaucour_pair_3d(spec, {i: (lambda t: -1.0) for i in (1, 2, 3)}, seed)
-        assert np.max(np.abs(pair.x[..., 0, :] - pair.base.x)) == 0.0
+        plain = orthosys_assemble(spec)
+        assert np.max(np.abs(pair.x[..., 0, :] - plain.x)) == 0.0
+        assert pair.base.x.tobytes() == plain.x.tobytes()
+        for name, f in plain.fields.items():
+            known = ~np.isnan(pair.base.fields[name].values)
+            assert pair.base.fields[name].values[known].tobytes() == f.values[known].tobytes(), name
 
     def test_all_quads_concircular(self):
         spec, seed = self._spec_and_seed()

@@ -281,6 +281,23 @@ def test_bad_samples_or_substep_raise_a_config_error(samples, substep, message):
     assert (kind, got) == (ConfigError, message)
 
 
+@pytest.mark.parametrize("samples,substep,count", [
+    ([0.0, 0.1, 0.2], 1e-300, "2e+299"),        # a tiny substep
+    ([0.0, 1e-6, 1e6], None, "4e+12"),          # a huge gap against the default substep, 2.5e-07
+    ([0.0, 0.1, 1e300], 0.025, "4e+301"),       # a huge gap against a given substep
+    ([0.0, 1e308, -1e308], 1e-308, "inf"),      # a count past the float range
+    ([0.0, 1e308, -1e308], np.inf, "nan"),      # no count at all
+])
+def test_substep_count_is_bounded(samples, substep, count):
+    # the substeps are counted before any node is listed: the call returns at once, curve never evaluated
+    psi0 = _suited(ALG2, BUILDERS["warped2"]())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kind, got = _raised(read_off_curve, ALG2, _unevaluated(2), psi0, 1, np.array(samples), substep=substep)
+    shown = repr(substep if substep is not None else 1e-6 / 4.0)
+    assert (kind, got) == (ConfigError, f"substep {shown} needs {count} substeps over the samples, more than 100000")
+
+
 def test_samples_without_a_positive_gap_take_the_default_substep():
     # no two samples differ: the substep falls back to 0.25, as for a single sample
     curve = BUILDERS["warped2"]()
